@@ -62,6 +62,16 @@ def _parse_window(text: str) -> tuple[int, int, int, int]:
     return x0, y0, w, h
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _scheme_json(s: LabelingScheme) -> dict:
     return {"a": s.a, "b": s.b, "c": s.c, "p": s.p, "case": s.parity_case}
 
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="only width,height are used (default 0,0,100,100)")
     p_verify.add_argument("--format", choices=["ascii", "csv", "json"],
                           default="ascii")
-    p_verify.add_argument("--max-violations", type=int,
+    p_verify.add_argument("--max-violations", type=_non_negative_int,
                           default=DEFAULT_MAX_VIOLATIONS)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -365,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nohole.add_argument("--k", type=int, required=True)
     p_nohole.add_argument("--mode", choices=["gcd", "enumerate", "both"],
                           default="both")
-    p_nohole.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    p_nohole.add_argument("--pair-budget", type=_non_negative_int,
+                          default=DEFAULT_PAIR_BUDGET)
     p_nohole.add_argument("--format", choices=["ascii", "csv", "json"],
                           default="ascii")
     p_nohole.set_defaults(func=_cmd_nohole)

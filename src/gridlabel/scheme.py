@@ -16,13 +16,16 @@ k = 2 is the single unsupported value: the even-k/odd-p case starts at
 p = 3, so no case covers p = 1.
 
 Scalar evaluation uses Python integers, hence stays exact at any
-magnitude. The vectorized helpers downcast to int64 only when the
-intermediate products provably fit, and fall back to exact object arrays
-otherwise. Schemes are immutable and all functions are pure.
+magnitude. The vectorized helpers reduce coordinates mod c and work in
+int64 when the largest intermediate, (a mod c + b mod c)*(c-1), fits;
+that holds for every k <= 9189. Past that they evaluate one exact
+object-array (Python-integer) expression. Schemes are immutable and all
+functions are pure.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,32 +129,52 @@ _INT64_MAX = 2**63 - 1
 
 
 def _int64_safe(scheme: LabelingScheme) -> bool:
-    # Two mod-reduced products plus their sum must fit.
-    return 2 * (scheme.c - 1) * (scheme.c - 1) <= _INT64_MAX
+    # The int64 path evaluates ((a%c)*xr + (b%c)*yr) % c with 0 <= xr, yr < c,
+    # so its largest intermediate is the sum before the final reduction,
+    # at most (a%c + b%c)*(c-1).
+    a, b, c = scheme.a, scheme.b, scheme.c
+    return (a % c + b % c) * (c - 1) <= _INT64_MAX
 
 
 def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     """Vectorized label evaluation over integer coordinate arrays.
 
-    xs and ys broadcast together. Coordinates are reduced mod c first, so
-    the fast int64 path is exact whenever c itself is small enough; any
-    other input falls back to Python-integer (object dtype) arithmetic.
+    xs and ys broadcast together. Integer arrays are reduced mod c first,
+    so the int64 path is exact whenever _int64_safe holds; otherwise the
+    labels come from one Python-integer (object dtype) array expression.
+    Object arrays must hold integers.
     """
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     if xs.dtype.kind == "f" or ys.dtype.kind == "f":
         raise TypeError("coordinates must be integers")
     a, b, c = scheme.a, scheme.b, scheme.c
-    if _int64_safe(scheme) and xs.dtype.kind in "iu" and ys.dtype.kind in "iu":
-        xr = np.mod(xs, c).astype(np.int64)
-        yr = np.mod(ys, c).astype(np.int64)
-        return ((a % c) * xr + (b % c) * yr) % c
-    xb, yb = np.broadcast_arrays(xs.astype(object), ys.astype(object))
-    out = np.empty(xb.shape, dtype=object)
-    flat = out.reshape(-1)
-    for i, (x, y) in enumerate(zip(xb.reshape(-1), yb.reshape(-1))):
-        flat[i] = (a * int(x) + b * int(y)) % c
-    return out
+    ints = xs.dtype.kind in "iu" and ys.dtype.kind in "iu"
+    if ints and c <= _INT64_MAX:
+        xs = np.mod(xs, c).astype(np.int64)
+        ys = np.mod(ys, c).astype(np.int64)
+        if _int64_safe(scheme):
+            return ((a % c) * xs + (b % c) * ys) % c
+    return (a * _as_python_ints(xs) + b * _as_python_ints(ys)) % c
+
+
+# Elements of an object array may be numpy integers, whose fixed-width
+# products would wrap; operator.index turns them into Python integers and
+# rejects non-integers.
+_INDEX = np.frompyfunc(operator.index, 1, 1)
+
+
+def _as_python_ints(values: np.ndarray) -> np.ndarray:
+    if values.dtype == object:
+        return _INDEX(values)
+    return values.astype(object)
+
+
+def _axis(origin: int, n: int, c: int) -> np.ndarray:
+    """origin, ..., origin+n-1 shifted by a multiple of c into [0, c+n-1)."""
+    start = origin % c
+    dtype = np.int64 if start + n - 1 <= _INT64_MAX else object
+    return np.arange(start, start + n, dtype=dtype)
 
 
 def label_window(scheme: LabelingScheme, x0: int, y0: int,
@@ -164,10 +187,5 @@ def label_window(scheme: LabelingScheme, x0: int, y0: int,
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c
-    if _int64_safe(scheme):
-        xs = np.arange(x0 % c, x0 % c + width, dtype=np.int64)
-        ys = np.arange(y0 % c, y0 % c + height, dtype=np.int64)
-    else:
-        xs = np.array([x0 + i for i in range(width)], dtype=object)
-        ys = np.array([y0 + j for j in range(height)], dtype=object)
-    return label_many(scheme, xs[np.newaxis, :], ys[:, np.newaxis])
+    return label_many(scheme, _axis(x0, width, c)[np.newaxis, :],
+                      _axis(y0, height, c)[:, np.newaxis])

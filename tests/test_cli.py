@@ -150,6 +150,18 @@ def test_verify_violation_exit_code():
     assert "window,1,0,1,3,1" in lines
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--k", "3", "--max-violations", "-1"], "--max-violations"),
+    (["nohole", "--k", "3", "--pair-budget", "-5"], "--pair-budget"),
+])
+def test_negative_count_arguments_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and ">= 0" in err
+
+
 def test_verify_window_too_large():
     with pytest.raises(Exception):
         run_verify(scheme_params(3), "window", 2000, 2000, "ascii")

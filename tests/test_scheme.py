@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlabel import (
@@ -10,6 +10,7 @@ from gridlabel import (
     EVEN_K_ODD_P,
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
+    LabelingScheme,
     UnsupportedK,
     label,
     label_many,
@@ -151,3 +152,74 @@ def test_label_window_validates_dimensions():
     s = scheme_params(3)
     with pytest.raises(ValueError):
         label_window(s, 0, 0, 0, 5)
+
+
+# ------------------------------------------ int64 / object path boundary
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+EDGE_COORDS = [INT64_MIN, INT64_MIN + 1, -1, 0, 1, 12345, INT64_MAX - 1, INT64_MAX]
+
+
+def hand_built(a, b, c):
+    return LabelingScheme(k=3, p=1, parity_case="hand-built", a=a, b=b, c=c)
+
+
+def assert_matches_scalar(s, xs, ys):
+    out = label_many(s, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
+    assert out.tolist() == [label(s, (x, y)) for x, y in zip(xs, ys)]
+    return out
+
+
+@pytest.mark.parametrize("k, dtype", [(2253, np.int64), (2254, np.int64),
+                                      (9189, np.int64), (9190, object)])
+def test_label_many_exact_at_path_boundary(k, dtype):
+    s = scheme_params(k)
+    xs = [x for x in EDGE_COORDS for _ in EDGE_COORDS]
+    ys = EDGE_COORDS * len(EDGE_COORDS)
+    assert assert_matches_scalar(s, xs, ys).dtype == dtype
+
+
+@pytest.mark.parametrize("k, dtype", [(2253, np.int64), (2254, np.int64),
+                                      (9189, np.int64), (9190, object)])
+def test_label_window_exact_at_path_boundary(k, dtype):
+    s = scheme_params(k)
+    for x0, y0 in [(INT64_MAX - 3, INT64_MIN), (INT64_MIN, INT64_MAX - 2),
+                   (-7, 5), (10**30, -(10**30))]:
+        grid = label_window(s, x0, y0, 6, 4)
+        assert grid.dtype == dtype
+        assert grid.tolist() == [[label(s, (x0 + i, y0 + j)) for i in range(6)]
+                                 for j in range(4)]
+
+
+def test_int64_guard_is_tight():
+    # (a + b) * (c - 1) == 2**63 - 1 exactly: the int64 path's largest sum fits.
+    a, b = 200, 311
+    c = INT64_MAX // (a + b) + 1
+    assert (a + b) * (c - 1) == INT64_MAX
+    xs = [c - 1, c - 1, INT64_MAX, INT64_MIN, 0]
+    ys = [c - 1, 0, INT64_MIN, INT64_MAX, c - 1]
+    assert assert_matches_scalar(hand_built(a, b, c), xs, ys).dtype == np.int64
+    assert assert_matches_scalar(hand_built(a, b, c + 1), xs, ys).dtype == object
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2254, 12000),
+       st.lists(st.tuples(st.integers(INT64_MIN, INT64_MAX),
+                          st.integers(INT64_MIN, INT64_MAX)), min_size=1, max_size=20))
+def test_label_many_matches_scalar_for_large_k(k, points):
+    s = scheme_params(k)
+    assert_matches_scalar(s, [x for x, _ in points], [y for _, y in points])
+
+
+def test_object_path_keeps_numpy_integer_elements_exact():
+    s = scheme_params(9190)
+    xs = np.array([np.int64(INT64_MAX), 10**30], dtype=object)
+    ys = np.array([np.int64(INT64_MIN), np.uint64(2**64 - 1)], dtype=object)
+    out = label_many(s, xs, ys)
+    assert out.tolist() == [label(s, (INT64_MAX, INT64_MIN)),
+                            label(s, (10**30, 2**64 - 1))]
+
+
+def test_label_many_rejects_floats_in_object_arrays():
+    with pytest.raises(TypeError):
+        label_many(scheme_params(9190), np.array([0.5], dtype=object), np.array([1]))

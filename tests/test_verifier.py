@@ -113,6 +113,15 @@ def test_diamond_violation_cap():
     verdict = check_diamond(mutant(5, 1, 1, 3), max_violations=4)
     assert not verdict.passed
     assert len(verdict.violations) == 4
+    verdict = check_diamond(mutant(5, 1, 1, 3), max_violations=0)
+    assert not verdict.passed and verdict.violations == ()
+
+
+@pytest.mark.parametrize("check", [check_diamond,
+                                   lambda s, m: check_window(s, 10, 10, m)])
+def test_negative_max_violations_rejected(check):
+    with pytest.raises(ValueError, match="max_violations"):
+        check(mutant(3, 1, 1, 12), -1)
 
 
 # ------------------------------------------------------------ check_window
@@ -170,6 +179,27 @@ def test_window_agrees_with_naive_oracle_fuzz(k, a, b, c):
     oracle = naive_window_check(s, w, h)
     assert verdict.passed == (not oracle)
     assert {rep.offset for rep in verdict.violations} == oracle
+
+
+def brute_pair_count(k, width, height):
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    return sum(1 for i, u in enumerate(cells) for v in cells[:i]
+               if abs(u[0] - v[0]) + abs(u[1] - v[1]) <= k)
+
+
+@pytest.mark.parametrize("k, width, height", [
+    (7, 12, 3), (7, 3, 12), (7, 1, 20), (7, 20, 1), (4, 2, 2), (9, 5, 6),
+])
+def test_window_pair_count_when_window_is_narrower_than_k(k, width, height):
+    verdict = check_window(scheme_params(k), width, height)
+    assert verdict.checked_pairs == brute_pair_count(k, width, height)
+
+
+def test_window_pair_count_when_k_spans_the_window():
+    # k = 5001 reaches across the whole 30x30 window: every pair is checked.
+    verdict = check_window(scheme_params(5001), 30, 30)
+    assert verdict.passed
+    assert verdict.checked_pairs == 900 * 899 // 2
 
 
 def test_window_validates_dimensions():
