@@ -151,11 +151,20 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     a, b, c = scheme.a, scheme.b, scheme.c
     ints = xs.dtype.kind in "iu" and ys.dtype.kind in "iu"
     if ints and c <= _INT64_MAX:
-        xs = np.mod(xs, c).astype(np.int64)
-        ys = np.mod(ys, c).astype(np.int64)
+        xs = _reduced(xs, c)
+        ys = _reduced(ys, c)
         if _int64_safe(scheme):
             return ((a % c) * xs + (b % c) * ys) % c
     return (a * _as_python_ints(xs) + b * _as_python_ints(ys)) % c
+
+
+def _reduced(values: np.ndarray, c: int) -> np.ndarray:
+    # A numpy scalar modulus widens the result: with a Python int, NEP 50
+    # makes narrow arrays (int32, uint8, ...) raise OverflowError once c
+    # exceeds their range. uint64 keeps its own type so values past
+    # 2^63-1 are reduced before the int64 cast.
+    modulus = np.uint64(c) if values.dtype == np.uint64 else np.int64(c)
+    return np.mod(values, modulus).astype(np.int64)
 
 
 # Elements of an object array may be numpy integers, whose fixed-width

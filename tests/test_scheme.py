@@ -223,3 +223,20 @@ def test_object_path_keeps_numpy_integer_elements_exact():
 def test_label_many_rejects_floats_in_object_arrays():
     with pytest.raises(TypeError):
         label_many(scheme_params(9190), np.array([0.5], dtype=object), np.array([1]))
+
+
+NARROW_DTYPES = [np.int8, np.uint8, np.int16, np.uint16,
+                 np.int32, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", NARROW_DTYPES)
+@pytest.mark.parametrize("k", [3, 2254, 9189, 9190])
+def test_label_many_exact_for_every_integer_dtype(k, dtype):
+    # c exceeds the range of the narrow dtypes from k = 2254 on.
+    s = scheme_params(k)
+    info = np.iinfo(dtype)
+    edges = [info.min, info.min + 1, 0, 1, info.max - 1, info.max]
+    xs = np.array([x for x in edges for _ in edges], dtype=dtype)
+    ys = np.array(edges * len(edges), dtype=dtype)
+    out = label_many(s, xs, ys)
+    assert out.tolist() == [label(s, (int(x), int(y))) for x, y in zip(xs, ys)]
