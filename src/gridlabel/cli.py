@@ -150,22 +150,32 @@ def _verdict_json(v: VerificationVerdict) -> dict:
 
 
 def run_verify(scheme: LabelingScheme, mode: str, width: int, height: int,
-               fmt: str, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> tuple[int, str]:
-    """Run the requested checks; returns (exit_code, rendered report)."""
+               fmt: str, max_violations: int = DEFAULT_MAX_VIOLATIONS, *,
+               x0: int = 0, y0: int = 0) -> tuple[int, str]:
+    """Run the requested checks; returns (exit_code, rendered report).
+
+    The window check covers [x0, x0 + width) x [y0, y0 + height). Reports
+    name the origin only when it is not 0,0.
+    """
     if mode in ("window", "both") and width * height > MAX_WINDOW_CELLS:
         raise WindowTooLarge(width * height)
     checks: dict[str, VerificationVerdict] = {}
     if mode in ("diamond", "both"):
         checks["diamond"] = check_diamond(scheme, max_violations)
     if mode in ("window", "both"):
-        checks["window"] = check_window(scheme, width, height, max_violations)
+        checks["window"] = check_window(scheme, width, height, max_violations,
+                                        x0=x0, y0=y0)
     passed = all(v.passed for v in checks.values())
+    shifted = (x0, y0) != (0, 0)
     if fmt == "json":
+        window = {"width": width, "height": height}
+        if shifted:
+            window = {"x0": x0, "y0": y0, **window}
         payload = {
             "k": scheme.k,
             "scheme": _scheme_json(scheme),
             "mode": mode,
-            "window": {"width": width, "height": height} if "window" in checks else None,
+            "window": window if "window" in checks else None,
             "checks": {name: _verdict_json(v) for name, v in checks.items()},
             "passed": passed,
         }
@@ -180,8 +190,9 @@ def run_verify(scheme: LabelingScheme, mode: str, width: int, height: int,
                 )
         return (0 if passed else 1), "\n".join(lines) + "\n"
     lines = [f"k={scheme.k} scheme: ({scheme.a}*x + {scheme.b}*y) mod {scheme.c}"]
+    origin = f" at {x0},{y0}" if shifted else ""
     for name, v in checks.items():
-        where = f" {width}x{height}" if name == "window" else ""
+        where = f" {width}x{height}{origin}" if name == "window" else ""
         status = "PASS" if v.passed else "FAIL"
         lines.append(
             f"{name}{where}: {status} ({v.checked_pairs} pairs checked, "
@@ -198,9 +209,9 @@ def run_verify(scheme: LabelingScheme, mode: str, width: int, height: int,
 
 def _cmd_verify(args) -> int:
     scheme = scheme_params(args.k)
-    _, _, w, h = args.window
+    x0, y0, w, h = args.window
     code, text = run_verify(scheme, args.mode, w, h, args.format,
-                            args.max_violations)
+                            args.max_violations, x0=x0, y0=y0)
     sys.stdout.write(text)
     return code
 
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=["diamond", "window", "both"],
                           default="both")
     p_verify.add_argument("--window", type=_parse_window, default=(0, 0, 100, 100),
-                          help="only width,height are used (default 0,0,100,100)")
+                          help="x0,y0,width,height (default 0,0,100,100)")
     p_verify.add_argument("--format", choices=["ascii", "csv", "json"],
                           default="ascii")
     p_verify.add_argument("--max-violations", type=_non_negative_int,

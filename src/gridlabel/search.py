@@ -7,6 +7,13 @@ separation requirement against an already-labeled vertex. The search is
 independent of the modular schemes, so it serves as ground truth for
 them on desk-scale instances (at most 64 vertices).
 
+Domains are bitmasks held in Python ints: a vertex's mask has one bit per
+label its earlier neighbours block, and the next candidate is found by a
+lowest-clear-bit jump rather than by re-checking every neighbour for
+every label. Masks stay within a few times the label count being probed,
+and greedy first-fit jumps past blocked bands the same way, so neither
+cost grows with k.
+
 A single search is sequential; independent probes may run concurrently.
 """
 
@@ -91,16 +98,25 @@ def clique_lower_bound(patch: Patch, k: int) -> int:
 
 
 def greedy_certificate(patch: Patch, k: int) -> dict[tuple[int, int], int]:
-    """First-fit row-major labeling; always feasible, usually not minimal."""
-    cons = _gap_constraints(patch, k)
+    """First-fit row-major labeling; always feasible, usually not minimal.
+
+    Each earlier neighbour j blocks the labels [l_j - gap + 1, l_j + gap).
+    Sweeping those bands by lower end finds the smallest uncovered label
+    in O(deg log deg) per vertex, whatever the size of the labels.
+    """
     labels: list[int] = []
-    for i in range(patch.n_vertices):
+    for row in _gap_constraints(patch, k):
         lab = 0
-        while any(abs(lab - labels[j]) < gap for j, gap in cons[i]):
-            lab += 1
+        for lo, end in sorted((labels[j] - gap + 1, labels[j] + gap) for j, gap in row):
+            if lo > lab:
+                break
+            lab = max(lab, end)
         labels.append(lab)
-    verts = patch.vertices()
-    return {verts[i]: labels[i] for i in range(len(verts))}
+    return _certificate(patch, labels)
+
+
+def _certificate(patch: Patch, labels: list[int]) -> dict[tuple[int, int], int]:
+    return dict(zip(patch.vertices(), labels))
 
 
 def probe_feasible(patch: Patch, k: int, lam: int,
@@ -108,54 +124,74 @@ def probe_feasible(patch: Patch, k: int, lam: int,
     """Decide whether the patch admits a labeling from {0, ..., lam-1}.
 
     Returns (feasible, certificate, nodes): feasible is True or False, or
-    None when the budget ran out before the tree was exhausted. Labels
-    are tried in ascending order. The first vertex is capped at
-    (lam-1)//2; this is sound because reflecting every label through
-    lam-1 maps valid labelings to valid labelings, so any feasible
-    instance has a solution in the restricted space. A node is one
-    candidate label considered at one vertex.
+    None when the budget ran out before the tree was exhausted (nodes is
+    then max(node_budget, 0) + 1). Labels are tried in ascending order.
+    The first vertex is capped at (lam-1)//2; this is sound because
+    reflecting every label through lam-1 maps valid labelings to valid
+    labelings, so any feasible instance has a solution in the restricted
+    space.
+
+    Each vertex's domain is a bitmask of the labels its earlier neighbours
+    block, built once when the search reaches the vertex; the next
+    candidate is its lowest clear bit at or above the last label tried. A
+    node is one candidate label considered at one vertex, blocked labels
+    skipped by a jump included, so the count equals that of a
+    label-by-label scan. Masks stay within a few times min(lam,
+    node_budget) bits, so the cost does not grow with k.
     """
+    return _probe(patch, _gap_constraints(patch, k), lam, node_budget)
+
+
+def _probe(patch: Patch, cons: list[list[tuple[int, int]]], lam: int,
+           node_budget: int):
     if lam < 1:
         return False, None, 0
-    cons = _gap_constraints(patch, k)
-    n = patch.n_vertices
-    labels = [-1] * n
-    next_try = [0] * n
+    n = len(cons)
+    # A neighbour at gap g blocks the 2g-1 labels centred on its own label.
+    # Only labels below cap matter: lam bounds them, and so does the budget,
+    # since reaching label l at a vertex counts l + 1 nodes there. A gap of
+    # cap or more blocks every such label, so gaps are capped at cap and no
+    # mask grows with k. Each band is stored shifted up by top - g + 1 >= 1,
+    # top being the largest capped gap, so placing it at label l is one
+    # left shift and bit top of the union is label 0.
+    over_budget = max(node_budget, 0) + 1  # the count reported on a stop
+    cap = min(lam, over_budget)
+    gaps = {min(gap, cap) for row in cons for _, gap in row}
+    top = max(gaps, default=0)
+    band = {g: ((1 << (2 * g - 1)) - 1) << (top - g + 1) for g in gaps}
+    bands = [[(j, band[min(gap, cap)]) for j, gap in row] for row in cons]
     limits = [lam - 1] * n
     limits[0] = (lam - 1) // 2
+    blocked = [0] * n
+    labels = [0] * n
     nodes = 0
     i = 0
+    start = 0
     while True:
-        placed = False
-        lab = next_try[i]
+        rest = blocked[i] >> start
+        lab = start + ((rest + 1) & ~rest).bit_length() - 1  # lowest clear bit
         limit = limits[i]
-        while lab <= limit:
-            nodes += 1
+        if lab <= limit:
+            nodes += lab - start + 1
             if nodes > node_budget:
-                return None, None, nodes
-            ok = True
-            for j, gap in cons[i]:
-                if abs(lab - labels[j]) < gap:
-                    ok = False
-                    break
-            if ok:
-                placed = True
-                break
-            lab += 1
-        if placed:
+                return None, None, over_budget
             labels[i] = lab
-            next_try[i] = lab + 1
             i += 1
             if i == n:
-                verts = patch.vertices()
-                return True, {verts[t]: labels[t] for t in range(n)}, nodes
-            next_try[i] = 0
+                return True, _certificate(patch, labels), nodes
+            union = 0
+            for j, b in bands[i]:
+                union |= b << labels[j]
+            blocked[i] = union >> top
+            start = 0
         else:
-            next_try[i] = 0
+            nodes += limit - start + 1
+            if nodes > node_budget:
+                return None, None, over_budget
             i -= 1
             if i < 0:
                 return False, None, nodes
-            labels[i] = -1
+            start = labels[i] + 1
 
 
 def exact_span(patch: Patch, k: int,
@@ -179,11 +215,12 @@ def exact_span(patch: Patch, k: int,
         )
     greedy = greedy_certificate(patch, k)
     greedy_lam = max(greedy.values()) + 1
+    cons = _gap_constraints(patch, k)
     lam = clique_lower_bound(patch, k)
     nodes_total = 0
     while lam < greedy_lam:
-        feasible, cert, used = probe_feasible(patch, k, lam,
-                                              node_budget - nodes_total)
+        feasible, cert, used = _probe(patch, cons, lam,
+                                      node_budget - nodes_total)
         nodes_total += used
         if feasible is None:
             return PatchSearchResult(greedy_lam, greedy, nodes_total, False)

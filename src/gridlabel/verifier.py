@@ -93,9 +93,9 @@ class NoHoleReport:
     attained_count: Optional[int]  # None unless enumeration ran
 
 
-def _check_max_violations(max_violations: int) -> None:
-    if max_violations < 0:
-        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
+def _check_non_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def label_difference(scheme: LabelingScheme, u, v) -> int:
@@ -124,7 +124,7 @@ def diamond_offsets(k: int) -> Iterator[tuple[int, int]]:
 def check_diamond(scheme: LabelingScheme,
                   max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationVerdict:
     """Exact validity check via offset labels (2k(k+1) offsets for parameter k)."""
-    _check_max_violations(max_violations)
+    _check_non_negative("max_violations", max_violations)
     k = scheme.k
     violations = []
     checked = 0
@@ -143,8 +143,9 @@ def check_diamond(scheme: LabelingScheme,
 
 
 def check_window(scheme: LabelingScheme, width: int, height: int,
-                 max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationVerdict:
-    """Brute-force pair check over the rectangle [0, width) x [0, height).
+                 max_violations: int = DEFAULT_MAX_VIOLATIONS, *,
+                 x0: int = 0, y0: int = 0) -> VerificationVerdict:
+    """Brute-force pair check over [x0, x0 + width) x [y0, y0 + height).
 
     Every unordered in-window pair at distance <= k is compared by
     absolute label difference; no difference-vector shortcut is used for
@@ -154,9 +155,9 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     """
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
-    _check_max_violations(max_violations)
+    _check_non_negative("max_violations", max_violations)
     k = scheme.k
-    grid = label_window(scheme, 0, 0, width, height)
+    grid = label_window(scheme, x0, y0, width, height)
     reports: dict[tuple[int, int], ViolationReport] = {}
     pairs = 0
     for dx in range(0, min(k, width - 1) + 1):
@@ -203,7 +204,9 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
                       labels; raises BudgetExceeded when c*c exceeds
                       pair_budget.
     mode "both":      run both routes and insist they agree.
+    A negative pair_budget raises ValueError in every mode.
     """
+    _check_non_negative("pair_budget", pair_budget)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
     if mode == "gcd":
         return NoHoleReport(is_no_hole=(g == 1), gcd_triple=g, attained_count=None)

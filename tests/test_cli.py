@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import gridlabel
 from gridlabel import LabelingScheme, label, scheme_params
 from gridlabel.cli import main, render_label, run_verify
 
@@ -162,6 +167,24 @@ def test_negative_count_arguments_are_usage_errors(capsys, argv, flag):
     assert flag in err and ">= 0" in err
 
 
+def test_verify_shifted_window(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
+                                    "--window", "5,7,3,3"])
+    assert code == 0
+    assert "window 3x3 at 5,7: PASS" in out
+    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
+                                    "--window", "5,7,3,3", "--format", "json"])
+    assert json.loads(out)["window"] == {"x0": 5, "y0": 7, "width": 3, "height": 3}
+    # An origin of 0,0 is left out of the report.
+    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
+                                    "--window", "0,0,3,3", "--format", "json"])
+    assert json.loads(out)["window"] == {"width": 3, "height": 3}
+    # (x + y) mod 12 fails k=3 on the 2x1 window at 0,0 but not at 11,0.
+    bad = LabelingScheme(k=3, p=1, parity_case="hand-built", a=1, b=1, c=12)
+    assert run_verify(bad, "window", 2, 1, "csv")[0] == 1
+    assert run_verify(bad, "window", 2, 1, "csv", x0=11)[0] == 0
+
+
 def test_verify_window_too_large():
     with pytest.raises(Exception):
         run_verify(scheme_params(3), "window", 2000, 2000, "ascii")
@@ -273,3 +296,23 @@ def test_search_csv_certificate(capsys):
     assert len(rows) == 4
     labs = {(int(r["x"]), int(r["y"])): int(r["label"]) for r in rows}
     assert labs[(0, 0)] == 0 and max(labs.values()) == 4
+
+
+def test_search_huge_k_returns_quickly():
+    # First-fit jumps past the blocked bands, so neither it nor the probes
+    # scale with k: the node budget stops the search within seconds.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridlabel", "search", "--rows", "1", "--cols", "2",
+         "--k", "30000000", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["exhausted"] is False
+    assert payload["minimal_lambda"] == 30_000_001
+    assert payload["certificate"] == [[0, 0, 0], [1, 0, 30_000_000]]
+    assert elapsed < 10, elapsed

@@ -1,5 +1,6 @@
 """Exact patch search against brute-force enumeration oracles."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from gridlabel import (
     patch_span_vs_bounds,
     probe_feasible,
 )
+from gridlabel.search import DEFAULT_NODE_BUDGET
 
 
 def valid_assignment(cells, labels, k):
@@ -40,6 +42,152 @@ def check_certificate(patch, k, cert, lam):
     assert set(cert) == set(cells)
     assert all(0 <= cert[v] < lam for v in cells)
     assert valid_assignment(cells, [cert[v] for v in cells], k)
+
+
+# Reference implementations: the label-by-label scans the bitmask search
+# replaced. They define the search tree, the node count and the certificate
+# that the package must reproduce exactly.
+
+def reference_constraints(patch, k):
+    cells = patch.vertices()
+    cons = []
+    for i, (xi, yi) in enumerate(cells):
+        row = []
+        for j in range(i):
+            xj, yj = cells[j]
+            d = abs(xi - xj) + abs(yi - yj)
+            if d <= k:
+                row.append((j, k + 1 - d))
+        cons.append(row)
+    return cons
+
+
+def reference_greedy_certificate(patch, k):
+    cons = reference_constraints(patch, k)
+    labels = []
+    for i in range(patch.n_vertices):
+        lab = 0
+        while any(abs(lab - labels[j]) < gap for j, gap in cons[i]):
+            lab += 1
+        labels.append(lab)
+    verts = patch.vertices()
+    return {verts[i]: labels[i] for i in range(len(verts))}
+
+
+def reference_probe_feasible(patch, k, lam, node_budget=DEFAULT_NODE_BUDGET):
+    if lam < 1:
+        return False, None, 0
+    cons = reference_constraints(patch, k)
+    n = patch.n_vertices
+    labels = [-1] * n
+    next_try = [0] * n
+    limits = [lam - 1] * n
+    limits[0] = (lam - 1) // 2
+    nodes = 0
+    i = 0
+    while True:
+        placed = False
+        lab = next_try[i]
+        limit = limits[i]
+        while lab <= limit:
+            nodes += 1
+            if nodes > node_budget:
+                return None, None, nodes
+            ok = True
+            for j, gap in cons[i]:
+                if abs(lab - labels[j]) < gap:
+                    ok = False
+                    break
+            if ok:
+                placed = True
+                break
+            lab += 1
+        if placed:
+            labels[i] = lab
+            next_try[i] = lab + 1
+            i += 1
+            if i == n:
+                verts = patch.vertices()
+                return True, {verts[t]: labels[t] for t in range(n)}, nodes
+            next_try[i] = 0
+        else:
+            next_try[i] = 0
+            i -= 1
+            if i < 0:
+                return False, None, nodes
+            labels[i] = -1
+
+
+# Patches up to 3x4 with k <= 6, kept to those whose probes up to the
+# optimum + 2 take at most about 15 000 reference nodes each.
+EQUIVALENCE_CASES = [
+    (rows, cols, k)
+    for rows in range(1, 4) for cols in range(1, 5) for k in range(1, 7)
+    if rows * cols * k <= 27
+]
+
+
+@pytest.mark.parametrize("rows,cols,k", EQUIVALENCE_CASES)
+def test_probe_matches_reference(rows, cols, k):
+    patch = Patch(rows, cols)
+    lam = 0
+    while reference_probe_feasible(patch, k, lam)[0] is not True:
+        lam += 1
+    for lam in range(lam + 3):
+        stop = reference_probe_feasible(patch, k, lam)[2]
+        for budget in sorted({-1, 0, 1, 7, stop - 1, stop, DEFAULT_NODE_BUDGET}):
+            expected = reference_probe_feasible(patch, k, lam, budget)
+            assert probe_feasible(patch, k, lam, budget) == expected, (lam, budget)
+
+
+@pytest.mark.parametrize("rows,cols,k,lam,budget", [
+    (2, 3, 1000, 10**7, DEFAULT_NODE_BUDGET),
+    (2, 3, 10**6, 10**7, 10_000),
+    (3, 2, 40, 10**9, 50_000),
+])
+def test_probe_matches_reference_for_large_k_and_lam(rows, cols, k, lam, budget):
+    patch = Patch(rows, cols)
+    expected = reference_probe_feasible(patch, k, lam, budget)
+    assert probe_feasible(patch, k, lam, budget) == expected
+
+
+def test_probe_memory_follows_budget_not_k_or_lam():
+    tracemalloc.start()
+    try:
+        res = probe_feasible(Patch(8, 8), 3 * 10**7, 10**8, node_budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == (None, None, 10_001)
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("rows,cols,k", EQUIVALENCE_CASES + [
+    (3, 7, 5), (4, 4, 7), (2, 8, 6), (8, 8, 3), (8, 8, 40), (1, 30, 3),
+])
+def test_greedy_matches_reference(rows, cols, k):
+    patch = Patch(rows, cols)
+    assert greedy_certificate(patch, k) == reference_greedy_certificate(patch, k)
+
+
+@pytest.mark.parametrize("rows,cols,k,lam,nodes", [
+    (3, 3, 4, 18, 389266),
+    (2, 5, 4, 18, 3284965),
+])
+def test_pinned_node_counts(rows, cols, k, lam, nodes):
+    # nodes_explored is part of the CLI's json output; the bitmask search
+    # must count the same tree as the reference scan.
+    res = exact_span(Patch(rows, cols), k)
+    assert (res.minimal_lambda, res.nodes_explored, res.exhausted) == (lam, nodes, True)
+    check_certificate(Patch(rows, cols), k, res.certificate, lam)
+
+
+def test_budget_stop_is_exact():
+    full = exact_span(Patch(3, 3), 4)
+    for budget in (full.nodes_explored - 1, 12345):
+        res = exact_span(Patch(3, 3), 4, node_budget=budget)
+        assert (res.nodes_explored, res.exhausted) == (budget + 1, False)
+    assert exact_span(Patch(3, 3), 4, node_budget=full.nodes_explored) == full
 
 
 def test_single_vertex():

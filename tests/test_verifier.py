@@ -23,7 +23,7 @@ from gridlabel import (
 )
 
 
-def naive_window_check(scheme, width, height):
+def naive_window_check(scheme, width, height, x0=0, y0=0):
     """Oracle: literal double loop over all pairs at distance <= k.
 
     Violating pairs are keyed by their difference vector taken
@@ -31,7 +31,7 @@ def naive_window_check(scheme, width, height):
     the library's reporting convention.
     """
     k = scheme.k
-    cells = [(x, y) for y in range(height) for x in range(width)]
+    cells = [(x0 + x, y0 + y) for y in range(height) for x in range(width)]
     witness_offsets = set()
     for i, u in enumerate(cells):
         for v in cells[:i]:
@@ -161,22 +161,33 @@ def test_window_matches_naive_oracle_on_mutants():
         mutant(1, 2, 3, 4),
     ]
     for s in cases:
-        verdict = check_window(s, 12, 12, max_violations=10**6)
-        oracle = naive_window_check(s, 12, 12)
-        assert verdict.passed == (not oracle)
-        assert {rep.offset for rep in verdict.violations} == oracle
+        for x0, y0 in [(0, 0), (11, 0), (5, 7), (-3, 4)]:
+            verdict = check_window(s, 12, 12, max_violations=10**6, x0=x0, y0=y0)
+            oracle = naive_window_check(s, 12, 12, x0, y0)
+            assert verdict.passed == (not oracle)
+            assert {rep.offset for rep in verdict.violations} == oracle
+
+
+def test_window_checks_the_window_at_its_origin():
+    # L = (x + y) mod 12 gives (0,0),(1,0) labels 0,1 (gap 1 < 3) but
+    # (11,0),(12,0) labels 11,0 (gap 11).
+    s = mutant(3, 1, 1, 12)
+    assert not check_window(s, 2, 1).passed
+    assert check_window(s, 2, 1, x0=11).passed
+    assert check_window(s, 2, 1, x0=11, y0=12).passed
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 5),
     st.integers(1, 40), st.integers(1, 40), st.integers(2, 40),
+    st.integers(-50, 50), st.integers(-50, 50),
 )
-def test_window_agrees_with_naive_oracle_fuzz(k, a, b, c):
+def test_window_agrees_with_naive_oracle_fuzz(k, a, b, c, x0, y0):
     s = mutant(k, a, b, c)
     w = h = k + 3
-    verdict = check_window(s, w, h, max_violations=10**6)
-    oracle = naive_window_check(s, w, h)
+    verdict = check_window(s, w, h, max_violations=10**6, x0=x0, y0=y0)
+    oracle = naive_window_check(s, w, h, x0, y0)
     assert verdict.passed == (not oracle)
     assert {rep.offset for rep in verdict.violations} == oracle
 
@@ -241,6 +252,12 @@ def test_no_hole_budget():
         check_no_hole(scheme_params(15), "enumerate", pair_budget=100)
     with pytest.raises(BudgetExceeded):
         check_no_hole(scheme_params(15), "both", pair_budget=100)
+
+
+@pytest.mark.parametrize("mode", ["gcd", "enumerate", "both"])
+def test_no_hole_rejects_negative_pair_budget(mode):
+    with pytest.raises(ValueError, match="pair_budget"):
+        check_no_hole(scheme_params(3), mode, pair_budget=-5)
 
 
 def test_no_hole_rejects_unknown_mode():
