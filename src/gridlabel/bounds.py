@@ -18,7 +18,6 @@ display-only. All functions are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -48,13 +47,14 @@ def lambda_lb(k: int) -> LowerBound:
     """Closed-form lower bound for k >= 1 (k = 2 included)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
+    # (2/3) p (p+1) (2p+1 or 2p+3) + 2, as one fraction over 3.
     if k % 2 == 0:
         p = k // 2
-        exact = Fraction(2, 3) * p * (p + 1) * (2 * p + 1) + 2
+        num = 2 * p * (p + 1) * (2 * p + 1) + 6
     else:
         p = (k - 1) // 2
-        exact = Fraction(2, 3) * p * (p + 1) * (2 * p + 3) + 2
-    return LowerBound(exact=exact, ceiled=math.ceil(exact))
+        num = 2 * p * (p + 1) * (2 * p + 3) + 6
+    return LowerBound(exact=Fraction(num, 3), ceiled=-(-num // 3))
 
 
 def triangular_convolution(p: int) -> int:

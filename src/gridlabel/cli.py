@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k,
-oversized window, or exceeded budget.
+output over MAX_OUTPUT_ROWS (window cells or bounds rows), or exceeded
+budget. Output is written row by row as it is formatted.
 
 CSV output is RFC-4180-style with a mandatory header row and LF line
 endings. PGM output is plain P2 with maxval c-1 (a visualization aid,
@@ -23,12 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundsRecord, bounds_table
 from .scheme import LabelingScheme, UnsupportedK, label_window, scheme_params
-from .search import InvalidPatch, Patch, exact_span
+from .search import Patch, exact_span
 from .verifier import (
     DEFAULT_MAX_VIOLATIONS,
     DEFAULT_PAIR_BUDGET,
@@ -39,14 +39,19 @@ from .verifier import (
     check_window,
 )
 
-MAX_WINDOW_CELLS = 1_000_000
+MAX_OUTPUT_ROWS = 1_000_000
+
+_Y = "\0"  # stands for y in a label row template; no number contains it
 
 
-class WindowTooLarge(Exception):
-    def __init__(self, cells: int):
-        super().__init__(
-            f"window has {cells} cells; the budget is {MAX_WINDOW_CELLS}"
-        )
+class OutputTooLarge(ValueError):
+    """More cells or rows than MAX_OUTPUT_ROWS were asked for."""
+
+
+def _check_output_size(what: str, count: int, unit: str) -> None:
+    if count > MAX_OUTPUT_ROWS:
+        raise OutputTooLarge(
+            f"{what} has {count} {unit}; the budget is {MAX_OUTPUT_ROWS}")
 
 
 def _parse_window(text: str) -> tuple[int, int, int, int]:
@@ -76,58 +81,68 @@ def _scheme_json(s: LabelingScheme) -> dict:
     return {"a": s.a, "b": s.b, "c": s.c, "p": s.p, "case": s.parity_case}
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
+def _json_head_tail(payload: dict) -> tuple[str, str]:
+    """``json.dumps(payload, indent=2)`` split at its last value, ``[]``.
+
+    Items written between the two halves, each indented four spaces and
+    separated by ",\n", give the bytes of dumping the full payload.
+    """
+    head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
+    return head + "[\n", "\n  ]" + tail + "\n"
 
 
-def _decimal_str(f: Fraction) -> str:
-    return f"{float(f):.6g}"
+def _stream(out, head: str, rows, sep: str = "", tail: str = "") -> None:
+    """Write head, then each row as it is made (joined by sep), then tail."""
+    out.write(head)
+    for n, text in enumerate(rows):
+        out.write(sep + text if n else text)
+    out.write(tail)
 
 
 # ---------------------------------------------------------------- label
 
-def render_label(scheme: LabelingScheme, x0: int, y0: int, width: int,
-                 height: int, fmt: str) -> str:
-    """Rendered label grid; raises WindowTooLarge above the cell budget."""
-    if width * height > MAX_WINDOW_CELLS:
-        raise WindowTooLarge(width * height)
+def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
+                height: int, fmt: str) -> None:
+    """Write the label grid to out one row at a time.
+
+    Raises OutputTooLarge above the cell budget, before writing anything.
+    """
+    _check_output_size("window", width * height, "cells")
     grid = label_window(scheme, x0, y0, width, height)
+    xs = range(x0, x0 + width)
+    up = range(height)
+    down = range(height - 1, -1, -1)  # matrix orientation: top row = max y
+
+    def rows(order, template):
+        # template has x baked in, _Y for y and %d for each label.
+        return (template.replace(_Y, str(y0 + iy)) % tuple(grid[iy].tolist())
+                for iy in order)
+
     if fmt == "csv":
-        lines = ["x,y,label"]
-        for iy in range(height):
-            for ix in range(width):
-                lines.append(f"{x0 + ix},{y0 + iy},{int(grid[iy, ix])}")
-        return "\n".join(lines) + "\n"
-    if fmt == "ascii":
-        cell = len(str(scheme.c - 1))
-        lines = []
-        for iy in range(height - 1, -1, -1):  # matrix orientation: top row = max y
-            lines.append(" ".join(f"{int(v):>{cell}}" for v in grid[iy]))
-        return "\n".join(lines) + "\n"
-    if fmt == "pgm":
-        lines = ["P2", f"{width} {height}", f"{scheme.c - 1}"]
-        for iy in range(height - 1, -1, -1):
-            lines.append(" ".join(str(int(v)) for v in grid[iy]))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {
+        template = "".join(f"{x},{_Y},%d\n" for x in xs)
+        _stream(out, "x,y,label\n", rows(up, template))
+    elif fmt == "ascii":
+        template = " ".join([f"%{len(str(scheme.c - 1))}d"] * width) + "\n"
+        _stream(out, "", rows(down, template))
+    elif fmt == "pgm":
+        _stream(out, f"P2\n{width} {height}\n{scheme.c - 1}\n",
+                rows(down, " ".join(["%d"] * width) + "\n"))
+    elif fmt == "json":
+        head, tail = _json_head_tail({
             "k": scheme.k,
             "scheme": _scheme_json(scheme),
             "window": {"x0": x0, "y0": y0, "width": width, "height": height},
-            "cells": [
-                [x0 + ix, y0 + iy, int(grid[iy, ix])]
-                for iy in range(height)
-                for ix in range(width)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+            "cells": [],
+        })
+        template = ",\n".join(f"    [\n      {x},\n      {_Y},\n      %d\n    ]"
+                              for x in xs)
+        _stream(out, head, rows(up, template), ",\n", tail)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _cmd_label(args) -> int:
-    scheme = scheme_params(args.k)
-    x0, y0, w, h = args.window
-    sys.stdout.write(render_label(scheme, x0, y0, w, h, args.format))
+    write_label(sys.stdout, scheme_params(args.k), *args.window, args.format)
     return 0
 
 
@@ -157,8 +172,8 @@ def run_verify(scheme: LabelingScheme, mode: str, width: int, height: int,
     The window check covers [x0, x0 + width) x [y0, y0 + height). Reports
     name the origin only when it is not 0,0.
     """
-    if mode in ("window", "both") and width * height > MAX_WINDOW_CELLS:
-        raise WindowTooLarge(width * height)
+    if mode in ("window", "both"):
+        _check_output_size("window", width * height, "cells")
     checks: dict[str, VerificationVerdict] = {}
     if mode in ("diamond", "both"):
         checks["diamond"] = check_diamond(scheme, max_violations)
@@ -218,57 +233,49 @@ def _cmd_verify(args) -> int:
 
 # --------------------------------------------------------------- bounds
 
-def render_bounds(records: list[BoundsRecord], fmt: str) -> str:
+_BOUNDS_JSON_ROW = """    {
+      "k": %s,
+      "lower_exact": "%s",
+      "lower": %s,
+      "upper": %s,
+      "ratio_exact": %s,
+      "ratio_decimal": %s
+    }"""
+
+
+def write_bounds(out, records: list[BoundsRecord], fmt: str) -> None:
+    """Write the bounds table to out one record at a time."""
+    # k, lower_exact, lower, upper, ratio_exact, ratio_decimal; None where
+    # there is no value (k = 2 has no scheme).
+    fields = ((str(r.k), str(r.lower_exact), str(r.lower),
+               None if r.upper is None else str(r.upper),
+               None if r.ratio is None else str(r.ratio),
+               None if r.ratio is None else f"{float(r.ratio):.6g}")
+              for r in records)
     if fmt == "csv":
-        lines = ["k,lower_exact,lower,upper,ratio_exact,ratio_decimal"]
-        for r in records:
-            upper = "" if r.upper is None else str(r.upper)
-            ratio_e = "" if r.ratio is None else _fraction_str(r.ratio)
-            ratio_d = "" if r.ratio is None else _decimal_str(r.ratio)
-            lines.append(
-                f"{r.k},{_fraction_str(r.lower_exact)},{r.lower},"
-                f"{upper},{ratio_e},{ratio_d}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {
-            "k_min": records[0].k,
-            "k_max": records[-1].k,
-            "records": [
-                {
-                    "k": r.k,
-                    "lower_exact": _fraction_str(r.lower_exact),
-                    "lower": r.lower,
-                    "upper": r.upper,
-                    "ratio_exact": None if r.ratio is None else _fraction_str(r.ratio),
-                    "ratio_decimal": None if r.ratio is None else _decimal_str(r.ratio),
-                }
-                for r in records
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "ascii":
-        header = ("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")
-        rows = [header]
-        for r in records:
-            rows.append((
-                str(r.k),
-                _fraction_str(r.lower_exact),
-                str(r.lower),
-                "-" if r.upper is None else str(r.upper),
-                "-" if r.ratio is None else _fraction_str(r.ratio),
-                "-" if r.ratio is None else _decimal_str(r.ratio),
-            ))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["  ".join(f"{cell:>{widths[i]}}" for i, cell in enumerate(row))
-                 for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        _stream(out, "k,lower_exact,lower,upper,ratio_exact,ratio_decimal\n",
+                (",".join([f or "" for f in row]) + "\n" for row in fields))
+    elif fmt == "json":
+        head, tail = _json_head_tail(
+            {"k_min": records[0].k, "k_max": records[-1].k, "records": []})
+        _stream(out, head, (
+            _BOUNDS_JSON_ROW % (k, exact, lower, upper or "null",
+                                "null" if ratio is None else f'"{ratio}"',
+                                "null" if decimal is None else f'"{decimal}"')
+            for k, exact, lower, upper, ratio, decimal in fields), ",\n", tail)
+    elif fmt == "ascii":
+        rows = [("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")]
+        rows += [tuple(f or "-" for f in row) for row in fields]
+        template = "  ".join(f"%{max(len(row[i]) for row in rows)}s"
+                             for i in range(len(rows[0]))) + "\n"
+        _stream(out, "", (template % row for row in rows))
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _cmd_bounds(args) -> int:
-    records = bounds_table(args.k_min, args.k_max)
-    sys.stdout.write(render_bounds(records, args.format))
+    _check_output_size("bounds table", args.k_max - args.k_min + 1, "rows")
+    write_bounds(sys.stdout, bounds_table(args.k_min, args.k_max), args.format)
     return 0
 
 
@@ -326,23 +333,18 @@ def _cmd_search(args) -> int:
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        lines = ["x,y,label"]
-        for y in range(patch.rows):
-            for x in range(patch.cols):
-                lines.append(f"{x},{y},{cert[(x, y)]}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _stream(sys.stdout, "x,y,label\n",
+                (f"{x},{y},{cert[(x, y)]}\n"
+                 for y in range(patch.rows) for x in range(patch.cols)))
     else:
         status = "exhausted" if result.exhausted else "budget hit, not proven minimal"
-        sys.stdout.write(
-            f"patch {patch.rows}x{patch.cols} k={args.k}: "
-            f"minimal lambda = {result.minimal_lambda} "
-            f"({status}, {result.nodes_explored} nodes)\n"
-        )
         cell = len(str(result.minimal_lambda - 1))
-        for y in range(patch.rows - 1, -1, -1):
-            sys.stdout.write(
-                " ".join(f"{cert[(x, y)]:>{cell}}" for x in range(patch.cols)) + "\n"
-            )
+        _stream(sys.stdout,
+                f"patch {patch.rows}x{patch.cols} k={args.k}: "
+                f"minimal lambda = {result.minimal_lambda} "
+                f"({status}, {result.nodes_explored} nodes)\n",
+                (" ".join(f"{cert[(x, y)]:>{cell}}" for x in range(patch.cols)) + "\n"
+                 for y in range(patch.rows - 1, -1, -1)))
     return 0
 
 
@@ -409,13 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedK as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (WindowTooLarge, BudgetExceeded, InvalidPatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

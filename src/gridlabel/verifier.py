@@ -48,6 +48,8 @@ from .scheme import (
 
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
+#: Cells per row block of the no-hole enumeration.
+NOHOLE_BLOCK_CELLS = 1 << 18
 
 #: Values gcd(a, b) can take in each parity case.
 GCD_AB_ALLOWED = {
@@ -215,11 +217,17 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     needed = scheme.c * scheme.c
     if needed > pair_budget:
         raise BudgetExceeded(needed, pair_budget)
-    grid = label_window(scheme, 0, 0, scheme.c, scheme.c)
-    # Labels lie in [0, c), so a histogram counts them in O(c^2). The grid
-    # is int64: label_window only leaves int64 for c > 2^31, far past any
-    # c*c a budget could allow.
-    count = int(np.count_nonzero(np.bincount(grid.ravel(), minlength=scheme.c)))
+    # Labels lie in [0, c), so histograms count them in O(c^2). The period
+    # is labelled in row blocks, so memory stays O(block + c) whatever the
+    # budget. Blocks are int64: label_window only leaves int64 for
+    # c > 2^31, far past any c*c a budget could allow.
+    c = scheme.c
+    rows = max(1, NOHOLE_BLOCK_CELLS // c)
+    hits = np.zeros(c, dtype=np.int64)
+    for y0 in range(0, c, rows):
+        block = label_window(scheme, 0, y0, c, min(rows, c - y0))
+        hits += np.bincount(block.ravel(), minlength=c)
+    count = int(np.count_nonzero(hits))
     surjective = count == scheme.c
     if mode == "both" and surjective != (g == 1):
         raise AssertionError(

@@ -1,5 +1,6 @@
 """Bound formulas, summation cross-checks, and exact ratios."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,22 @@ def test_lambda_lb_known_values():
     assert lambda_lb(5).exact == 30
     assert lambda_lb(6).exact == 58
     assert lambda_lb(7).exact == 74
+
+
+def product_form_lambda_lb(k):
+    """The closed form as a chain of Fraction products (the former code)."""
+    p = k // 2
+    if k % 2 == 0:
+        return Fraction(2, 3) * p * (p + 1) * (2 * p + 1) + 2
+    return Fraction(2, 3) * p * (p + 1) * (2 * p + 3) + 2
+
+
+def test_lambda_lb_matches_product_form():
+    ks = list(range(1, 10**4 + 1)) + [10**12 + d for d in range(-3, 4)]
+    for k in ks:
+        want = product_form_lambda_lb(k)
+        lb = lambda_lb(k)
+        assert lb.exact == want and lb.ceiled == math.ceil(want), k
 
 
 def test_lambda_lb_rejects_bad_k():

@@ -10,10 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridlabel
-from gridlabel import LabelingScheme, label, scheme_params
-from gridlabel.cli import main, render_label, run_verify
+from gridlabel import LabelingScheme, bounds_table, label, label_window, scheme_params
+from gridlabel import cli
+from gridlabel.cli import main, run_verify, write_bounds, write_label
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,6 +25,180 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def written(writer, *args):
+    out = io.StringIO()
+    writer(out, *args)
+    return out.getvalue()
+
+
+def assert_same(got, want, context=""):
+    """Byte equality, reporting only the first difference: pytest's own
+    diff of two long outputs can take minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        near = slice(max(i - 20, 0), i + 20)
+        pytest.fail(f"{context}: outputs differ at char {i} (lengths {len(got)}, "
+                    f"{len(want)}): got {got[near]!r}, want {want[near]!r}")
+
+
+# ---------------------------------------------- reference renderers
+#
+# The whole-string, cell-by-cell renderers the streamed writers replaced.
+# They are kept only here, as the reference the writers must match byte
+# for byte.
+
+def _decimal_str(f):
+    return f"{float(f):.6g}"
+
+
+def reference_render_label(scheme, x0, y0, width, height, fmt):
+    grid = label_window(scheme, x0, y0, width, height)
+    if fmt == "csv":
+        lines = ["x,y,label"]
+        for iy in range(height):
+            for ix in range(width):
+                lines.append(f"{x0 + ix},{y0 + iy},{int(grid[iy, ix])}")
+        return "\n".join(lines) + "\n"
+    if fmt == "ascii":
+        cell = len(str(scheme.c - 1))
+        lines = []
+        for iy in range(height - 1, -1, -1):  # matrix orientation: top row = max y
+            lines.append(" ".join(f"{int(v):>{cell}}" for v in grid[iy]))
+        return "\n".join(lines) + "\n"
+    if fmt == "pgm":
+        lines = ["P2", f"{width} {height}", f"{scheme.c - 1}"]
+        for iy in range(height - 1, -1, -1):
+            lines.append(" ".join(str(int(v)) for v in grid[iy]))
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        payload = {
+            "k": scheme.k,
+            "scheme": {"a": scheme.a, "b": scheme.b, "c": scheme.c,
+                       "p": scheme.p, "case": scheme.parity_case},
+            "window": {"x0": x0, "y0": y0, "width": width, "height": height},
+            "cells": [
+                [x0 + ix, y0 + iy, int(grid[iy, ix])]
+                for iy in range(height)
+                for ix in range(width)
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def reference_render_bounds(records, fmt):
+    if fmt == "csv":
+        lines = ["k,lower_exact,lower,upper,ratio_exact,ratio_decimal"]
+        for r in records:
+            upper = "" if r.upper is None else str(r.upper)
+            ratio_e = "" if r.ratio is None else str(r.ratio)
+            ratio_d = "" if r.ratio is None else _decimal_str(r.ratio)
+            lines.append(
+                f"{r.k},{str(r.lower_exact)},{r.lower},"
+                f"{upper},{ratio_e},{ratio_d}"
+            )
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        payload = {
+            "k_min": records[0].k,
+            "k_max": records[-1].k,
+            "records": [
+                {
+                    "k": r.k,
+                    "lower_exact": str(r.lower_exact),
+                    "lower": r.lower,
+                    "upper": r.upper,
+                    "ratio_exact": None if r.ratio is None else str(r.ratio),
+                    "ratio_decimal": None if r.ratio is None else _decimal_str(r.ratio),
+                }
+                for r in records
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "ascii":
+        header = ("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")
+        rows = [header]
+        for r in records:
+            rows.append((
+                str(r.k),
+                str(r.lower_exact),
+                str(r.lower),
+                "-" if r.upper is None else str(r.upper),
+                "-" if r.ratio is None else str(r.ratio),
+                "-" if r.ratio is None else _decimal_str(r.ratio),
+            ))
+        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+        lines = ["  ".join(f"{cell:>{widths[i]}}" for i, cell in enumerate(row))
+                 for row in rows]
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
+
+
+# ------------------------------------------------------ byte identity
+
+@pytest.mark.parametrize("fmt", LABEL_FORMATS)
+@pytest.mark.parametrize("k", [1, 3, 4, 7, 9190])  # 9190 takes the object path
+def test_write_label_matches_reference(k, fmt):
+    s = scheme_params(k)
+    for x0, y0 in [(0, 0), (-5, -7), (13, 4), (-3, 10**20)]:
+        for w, h in [(1, 1), (1, 9), (9, 1), (37, 23)]:
+            assert_same(written(write_label, s, x0, y0, w, h, fmt),
+                        reference_render_label(s, x0, y0, w, h, fmt), (x0, y0, w, h))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 12000).filter(lambda k: k != 2),
+    x0=st.integers(-10**6, 10**6) | st.integers(-10**30, 10**30),
+    y0=st.integers(-10**6, 10**6) | st.integers(-10**30, 10**30),
+    w=st.integers(1, 12),
+    h=st.integers(1, 12),
+    fmt=st.sampled_from(LABEL_FORMATS),
+)
+def test_write_label_matches_reference_fuzz(k, x0, y0, w, h, fmt):
+    s = scheme_params(k)
+    assert_same(written(write_label, s, x0, y0, w, h, fmt),
+                reference_render_label(s, x0, y0, w, h, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
+def test_write_bounds_matches_reference(fmt):
+    for k_min, k_max in [(1, 2000), (2, 2), (7, 7), (1990, 2000)]:
+        records = bounds_table(k_min, k_max)
+        assert_same(written(write_bounds, records, fmt),
+                    reference_render_bounds(records, fmt), (k_min, k_max))
+
+
+@pytest.mark.parametrize("fmt", LABEL_FORMATS)
+def test_label_command_matches_reference(capsys, fmt):
+    code, out, _ = run_cli(capsys, ["label", "--k", "5", "--window=-4,3,6,5",
+                                    "--format", fmt])
+    assert code == 0
+    assert_same(out, reference_render_label(scheme_params(5), -4, 3, 6, 5, fmt))
+
+
+class Chunks:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+@pytest.mark.parametrize("fmt, extra", [("csv", 1), ("ascii", 0), ("pgm", 1),
+                                        ("json", 2)])
+def test_write_label_writes_one_chunk_per_row(fmt, extra):
+    # The header (and the json tail) are their own chunks; each grid row
+    # is written as soon as it is formatted.
+    out = Chunks()
+    write_label(out, scheme_params(3), 0, 0, 4, 6, fmt)
+    assert len([c for c in out.chunks if c]) == 6 + extra
 
 
 # --------------------------------------------------------------- goldens
@@ -106,6 +283,10 @@ def test_label_window_too_large(capsys):
                                     "--window", "0,0,2000,2000"])
     assert code == 2
     assert "cells" in err
+    out = Chunks()
+    with pytest.raises(cli.OutputTooLarge):
+        write_label(out, scheme_params(3), 0, 0, 1, cli.MAX_OUTPUT_ROWS + 1, "csv")
+    assert out.chunks == []
 
 
 def test_label_bad_window_syntax(capsys):
@@ -116,8 +297,8 @@ def test_label_bad_window_syntax(capsys):
 
 def test_render_label_deterministic():
     s = scheme_params(5)
-    a = render_label(s, -3, -3, 7, 7, "csv")
-    b = render_label(s, -3, -3, 7, 7, "csv")
+    a = written(write_label, s, -3, -3, 7, 7, "csv")
+    b = written(write_label, s, -3, -3, 7, 7, "csv")
     assert a == b
 
 
@@ -223,6 +404,24 @@ def test_bounds_ascii_and_json(capsys):
 def test_bounds_bad_range(capsys):
     code, _, err = run_cli(capsys, ["bounds", "--k-min", "5", "--k-max", "3"])
     assert code == 2 and "k_min" in err
+
+
+def test_bounds_huge_range_rejected_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["bounds", "--k-min", "1",
+                                      "--k-max", "100000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "100000000 rows" in err and str(cli.MAX_OUTPUT_ROWS) in err
+
+
+def test_bounds_row_budget_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", 5)
+    code, out, _ = run_cli(capsys, ["bounds", "--k-min", "3", "--k-max", "7",
+                                    "--format", "csv"])
+    assert code == 0 and len(out.splitlines()) == 6
+    code, _, err = run_cli(capsys, ["bounds", "--k-min", "3", "--k-max", "8"])
+    assert code == 2 and "6 rows" in err
 
 
 # --------------------------------------------------------------- nohole

@@ -1,11 +1,14 @@
 """Validity and no-hole audits, cross-checked against naive oracles."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlabel import verifier
 from gridlabel import (
     GCD_AB_ALLOWED,
     BudgetExceeded,
@@ -263,6 +266,31 @@ def test_no_hole_rejects_negative_pair_budget(mode):
 def test_no_hole_rejects_unknown_mode():
     with pytest.raises(ValueError):
         check_no_hole(scheme_params(3), "telepathy")
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100, 10**9])
+def test_no_hole_row_blocks_count_like_the_dense_period(monkeypatch, block_cells):
+    # Block sizes below one row, not dividing c, and above c*c.
+    monkeypatch.setattr(verifier, "NOHOLE_BLOCK_CELLS", block_cells)
+    # In the last three, single rows miss labels other rows attain.
+    for s in [scheme_params(5), mutant(3, 5, 15, 15), mutant(3, 6, 10, 100),
+              mutant(3, 10, 3, 30), mutant(3, 0, 1, 30), mutant(3, 0, 4, 30)]:
+        dense = np.bincount(label_window(s, 0, 0, s.c, s.c).ravel(), minlength=s.c)
+        report = check_no_hole(s, "enumerate")
+        assert report.attained_count == np.count_nonzero(dense), (block_cells, s)
+
+
+def test_no_hole_enumeration_memory_is_bounded_by_the_block():
+    s = scheme_params(25)  # c = 3218: a dense period would be 83 MB of int64
+    dense_bytes = s.c * s.c * 8
+    tracemalloc.start()
+    try:
+        report = check_no_hole(s, "enumerate", pair_budget=s.c * s.c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.attained_count == s.c
+    assert peak < 16 * 2**20 < dense_bytes / 4, peak
 
 
 def test_gcd_and_enumeration_agree_for_small_k():
