@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .scheme import UnsupportedK, lambda_ub
 
@@ -99,22 +99,26 @@ def ratio(k: int) -> Fraction:
     return Fraction(lambda_ub(k), lambda_lb(k).ceiled)
 
 
-def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:
-    """One record per k in [k_min, k_max], increasing k.
+def bounds_records(k_min: int, k_max: int) -> Iterator[BoundsRecord]:
+    """One record per k in [k_min, k_max], increasing k, each made as it is read.
 
-    upper and ratio are None for k = 2, where no scheme exists.
+    The range is checked at the call, before any record is made. upper
+    and ratio are None for k = 2, where no scheme exists.
     """
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
-    records = []
-    for k in range(k_min, k_max + 1):
-        lb = lambda_lb(k)
-        try:
-            ub = lambda_ub(k)
-        except UnsupportedK:
-            records.append(BoundsRecord(k, lb.exact, lb.ceiled, None, None))
-            continue
-        records.append(
-            BoundsRecord(k, lb.exact, lb.ceiled, ub, Fraction(ub, lb.ceiled))
-        )
-    return records
+    return map(_bounds_record, range(k_min, k_max + 1))
+
+
+def _bounds_record(k: int) -> BoundsRecord:
+    lb = lambda_lb(k)
+    try:
+        ub = lambda_ub(k)
+    except UnsupportedK:
+        return BoundsRecord(k, lb.exact, lb.ceiled, None, None)
+    return BoundsRecord(k, lb.exact, lb.ceiled, ub, Fraction(ub, lb.ceiled))
+
+
+def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:
+    """``bounds_records(k_min, k_max)`` as a list."""
+    return list(bounds_records(k_min, k_max))

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k,
-output over MAX_OUTPUT_ROWS (window cells or bounds rows), or exceeded
-budget. Output is written row by row as it is formatted.
+output over MAX_OUTPUT_ROWS (window cells or bounds rows), a diamond
+over MAX_DIAMOND_OFFSETS, or exceeded budget. Output is written row by
+row as it is formatted.
 
 CSV output is RFC-4180-style with a mandatory header row and LF line
 endings. PGM output is plain P2 with maxval c-1 (a visualization aid,
@@ -26,7 +27,7 @@ import json
 import sys
 from typing import Optional
 
-from .bounds import BoundsRecord, bounds_table
+from .bounds import bounds_records
 from .scheme import LabelingScheme, UnsupportedK, label_window, scheme_params
 from .search import Patch, exact_span
 from .verifier import (
@@ -40,18 +41,20 @@ from .verifier import (
 )
 
 MAX_OUTPUT_ROWS = 1_000_000
+#: 2k(k+1) offsets at k = 9189, the last k on the int64 label path.
+MAX_DIAMOND_OFFSETS = 2 * 9189 * 9190
 
 _Y = "\0"  # stands for y in a label row template; no number contains it
 
 
 class OutputTooLarge(ValueError):
-    """More cells or rows than MAX_OUTPUT_ROWS were asked for."""
+    """A request over a size budget: more window cells or bounds rows than
+    MAX_OUTPUT_ROWS, or more diamond offsets than MAX_DIAMOND_OFFSETS."""
 
 
-def _check_output_size(what: str, count: int, unit: str) -> None:
-    if count > MAX_OUTPUT_ROWS:
-        raise OutputTooLarge(
-            f"{what} has {count} {unit}; the budget is {MAX_OUTPUT_ROWS}")
+def _check_size(what: str, count: int, unit: str, budget: int) -> None:
+    if count > budget:
+        raise OutputTooLarge(f"{what} has {count} {unit}; the budget is {budget}")
 
 
 def _parse_window(text: str) -> tuple[int, int, int, int]:
@@ -107,7 +110,7 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
 
     Raises OutputTooLarge above the cell budget, before writing anything.
     """
-    _check_output_size("window", width * height, "cells")
+    _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
     grid = label_window(scheme, x0, y0, width, height)
     xs = range(x0, x0 + width)
     up = range(height)
@@ -170,10 +173,14 @@ def run_verify(scheme: LabelingScheme, mode: str, width: int, height: int,
     """Run the requested checks; returns (exit_code, rendered report).
 
     The window check covers [x0, x0 + width) x [y0, y0 + height). Reports
-    name the origin only when it is not 0,0.
+    name the origin only when it is not 0,0. Raises OutputTooLarge for a
+    diamond or window over its budget, before checking anything.
     """
+    if mode in ("diamond", "both"):
+        _check_size("diamond", 2 * scheme.k * (scheme.k + 1), "offsets",
+                    MAX_DIAMOND_OFFSETS)
     if mode in ("window", "both"):
-        _check_output_size("window", width * height, "cells")
+        _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
     checks: dict[str, VerificationVerdict] = {}
     if mode in ("diamond", "both"):
         checks["diamond"] = check_diamond(scheme, max_violations)
@@ -243,8 +250,15 @@ _BOUNDS_JSON_ROW = """    {
     }"""
 
 
-def write_bounds(out, records: list[BoundsRecord], fmt: str) -> None:
-    """Write the bounds table to out one record at a time."""
+def write_bounds(out, k_min: int, k_max: int, fmt: str) -> None:
+    """Write the bounds table for [k_min, k_max] to out one record at a time.
+
+    csv and json make each record as they write it. ascii holds every
+    record first, because its column widths depend on all of them. Raises
+    OutputTooLarge above the row budget, before writing anything.
+    """
+    _check_size("bounds table", k_max - k_min + 1, "rows", MAX_OUTPUT_ROWS)
+    records = bounds_records(k_min, k_max)
     # k, lower_exact, lower, upper, ratio_exact, ratio_decimal; None where
     # there is no value (k = 2 has no scheme).
     fields = ((str(r.k), str(r.lower_exact), str(r.lower),
@@ -257,7 +271,7 @@ def write_bounds(out, records: list[BoundsRecord], fmt: str) -> None:
                 (",".join([f or "" for f in row]) + "\n" for row in fields))
     elif fmt == "json":
         head, tail = _json_head_tail(
-            {"k_min": records[0].k, "k_max": records[-1].k, "records": []})
+            {"k_min": k_min, "k_max": k_max, "records": []})
         _stream(out, head, (
             _BOUNDS_JSON_ROW % (k, exact, lower, upper or "null",
                                 "null" if ratio is None else f'"{ratio}"',
@@ -274,8 +288,7 @@ def write_bounds(out, records: list[BoundsRecord], fmt: str) -> None:
 
 
 def _cmd_bounds(args) -> int:
-    _check_output_size("bounds table", args.k_max - args.k_min + 1, "rows")
-    write_bounds(sys.stdout, bounds_table(args.k_min, args.k_max), args.format)
+    write_bounds(sys.stdout, args.k_min, args.k_max, args.format)
     return 0
 
 

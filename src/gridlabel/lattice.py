@@ -6,9 +6,9 @@ origin; ``t_set`` enumerates the shells around the two-vertex center
 parameters.
 
 All enumerations return lists sorted lexicographically by (x, y) so that
-outputs are deterministic and diffable. Materializing radius m costs
-O(m^2) memory. Every function here is pure and safe to call from any
-number of threads.
+outputs are deterministic and diffable. ``sphere`` and ``t_set`` build
+their O(m) points directly; only ``ball`` is O(m^2). Every function here
+is pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ def t_set(m: int) -> list[Vertex]:
     """
     if m < 0:
         raise ValueError("radius must be non-negative")
-    if m == 0:
-        return [(0, 0), (0, 1)]
+    # For y <= 0 the nearer center is (0, 0), for y >= 1 it is (0, 1): each
+    # column x holds the lower point of sphere(m) and the upper point of
+    # sphere(m) shifted up by one.
     points: list[Vertex] = []
     for x in range(-m, m + 1):
-        for y in range(-m, m + 2):
-            if min(abs(x) + abs(y), abs(x) + abs(y - 1)) == m:
-                points.append((x, y))
+        rest = m - abs(x)
+        points.append((x, -rest))
+        points.append((x, rest + 1))
     return points

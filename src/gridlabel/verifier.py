@@ -10,13 +10,19 @@ to the label of their difference vector (``label_difference``), and the
 offset diamond is closed under negation, this finite check is exact for
 the whole infinite grid: a clean diamond certifies the scheme, while a
 violating offset names a concrete offending pair (the origin plus that
-offset, since the origin's label is 0).
+offset, since the origin's label is 0). The offsets are labelled in
+blocks of whole columns x, about BLOCK_CELLS offsets each, by one
+``label_many`` call per block (int64 where the scheme allows it, exact
+Python integers otherwise), so memory stays O(BLOCK_CELLS + k) at any k.
 
 ``check_window`` brute-forces |L(u) - L(v)| over all vertex pairs of a
 finite rectangle, using nothing but label evaluation and absolute
 differences. It is deliberately redundant with ``check_diamond`` so the
 two can cross-validate each other. Rectangles embed isometrically in the
-grid, so in-window distances need no boundary correction.
+grid, so in-window distances need no boundary correction. An int64 label
+grid is first cast to int16 or int32 when that type holds +-c, so every
+difference fits; each offset costs one smallest-gap test, and the
+violating pairs are only located when that test fails.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
@@ -42,14 +48,15 @@ from .scheme import (
     ODD_K_ODD_P,
     LabelingScheme,
     label,
+    label_many,
     label_window,
     scheme_params,
 )
 
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
-#: Cells per row block of the no-hole enumeration.
-NOHOLE_BLOCK_CELLS = 1 << 18
+#: Cells per block of the diamond check and of the no-hole enumeration.
+BLOCK_CELLS = 1 << 18
 
 #: Values gcd(a, b) can take in each parity case.
 GCD_AB_ALLOWED = {
@@ -125,23 +132,51 @@ def diamond_offsets(k: int) -> Iterator[tuple[int, int]]:
 
 def check_diamond(scheme: LabelingScheme,
                   max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationVerdict:
-    """Exact validity check via offset labels (2k(k+1) offsets for parameter k)."""
+    """Exact validity check via offset labels (2k(k+1) offsets for parameter k).
+
+    Only the first max_violations violating offsets, in lexicographic
+    order, become reports; passed is False whenever any offset violates.
+    """
     _check_non_negative("max_violations", max_violations)
     k = scheme.k
-    violations = []
+    violations: list[ViolationReport] = []
+    failed = False
     checked = 0
-    for off in diamond_offsets(k):
-        checked += 1
-        r = abs(off[0]) + abs(off[1])
+    columns = max(1, BLOCK_CELLS // (2 * k + 1))
+    for x_lo in range(-k, k + 1, columns):
+        xs, ys = _diamond_columns(k, x_lo, min(x_lo + columns, k + 1))
+        checked += xs.size
+        r = np.abs(xs) + np.abs(ys)
         required = k + 1 - r
-        actual = label(scheme, off)
-        if actual < required:
-            violations.append(ViolationReport(off, r, required, actual))
+        actual = label_many(scheme, xs, ys)
+        hits = np.flatnonzero(actual < required)
+        if not hits.size:
+            continue
+        failed = True
+        hits = hits[: max_violations - len(violations)]
+        violations += map(ViolationReport,
+                          zip(xs[hits].tolist(), ys[hits].tolist()),
+                          r[hits].tolist(), required[hits].tolist(),
+                          actual[hits].tolist())
     return VerificationVerdict(
-        passed=not violations,
+        passed=not failed,
         checked_pairs=checked,
-        violations=tuple(violations[:max_violations]),
+        violations=tuple(violations),
     )
+
+
+def _diamond_columns(k: int, x_lo: int, x_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diamond offsets with x_lo <= x < x_hi, lexicographic, as (xs, ys)."""
+    cols = np.arange(x_lo, x_hi)
+    spans = k - np.abs(cols)
+    lengths = 2 * spans + 1
+    xs = np.repeat(cols, lengths)
+    # Each column runs y = -span, ..., span from its start in the block.
+    ys = np.arange(xs.size) - np.repeat(np.cumsum(lengths) - lengths + spans, lengths)
+    if x_lo <= 0 < x_hi:
+        keep = (xs != 0) | (ys != 0)
+        xs, ys = xs[keep], ys[keep]
+    return xs, ys
 
 
 def check_window(scheme: LabelingScheme, width: int, height: int,
@@ -159,7 +194,7 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
         raise ValueError("window must have positive dimensions")
     _check_non_negative("max_violations", max_violations)
     k = scheme.k
-    grid = label_window(scheme, x0, y0, width, height)
+    grid = _narrowed(label_window(scheme, x0, y0, width, height), scheme.c)
     reports: dict[tuple[int, int], ViolationReport] = {}
     pairs = 0
     for dx in range(0, min(k, width - 1) + 1):
@@ -177,9 +212,9 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
             gap = np.abs(diff)
             r = dx + abs(dy)
             required = k + 1 - r
-            mask = gap < required
-            if not mask.any():
+            if gap.min() >= required:
                 continue
+            mask = gap < required
             # All masked pairs with the larger label at the +offset end
             # share one gap value: the label of the offset itself. The
             # reverse orientation shares the label of the negated offset.
@@ -195,6 +230,15 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
         checked_pairs=pairs,
         violations=ordered[:max_violations],
     )
+
+
+def _narrowed(grid: np.ndarray, c: int) -> np.ndarray:
+    """An int64 label grid in the narrowest signed type holding +-c."""
+    if grid.dtype == np.int64:
+        for dtype in (np.int16, np.int32):
+            if c <= np.iinfo(dtype).max:
+                return grid.astype(dtype)
+    return grid
 
 
 def check_no_hole(scheme: LabelingScheme, mode: str = "both",
@@ -222,7 +266,7 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     # budget. Blocks are int64: label_window only leaves int64 for
     # c > 2^31, far past any c*c a budget could allow.
     c = scheme.c
-    rows = max(1, NOHOLE_BLOCK_CELLS // c)
+    rows = max(1, BLOCK_CELLS // c)
     hits = np.zeros(c, dtype=np.int64)
     for y0 in range(0, c, rows):
         block = label_window(scheme, 0, y0, c, min(rows, c - y0))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,9 +171,9 @@ def test_write_label_matches_reference_fuzz(k, x0, y0, w, h, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
 def test_write_bounds_matches_reference(fmt):
     for k_min, k_max in [(1, 2000), (2, 2), (7, 7), (1990, 2000)]:
-        records = bounds_table(k_min, k_max)
-        assert_same(written(write_bounds, records, fmt),
-                    reference_render_bounds(records, fmt), (k_min, k_max))
+        assert_same(written(write_bounds, k_min, k_max, fmt),
+                    reference_render_bounds(bounds_table(k_min, k_max), fmt),
+                    (k_min, k_max))
 
 
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)
@@ -371,6 +372,35 @@ def test_verify_window_too_large():
         run_verify(scheme_params(3), "window", 2000, 2000, "ascii")
 
 
+def test_verify_huge_diamond_rejected_at_once():
+    # 2k(k+1) = 2*10^10 offsets at k = 10^5: rejected before any work.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridlabel", "verify", "--k", "100000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "20000200000 offsets" in proc.stderr
+    assert str(cli.MAX_DIAMOND_OFFSETS) in proc.stderr
+    assert elapsed < 1.0, elapsed
+
+
+def test_verify_diamond_budget_is_inclusive(capsys, monkeypatch):
+    assert cli.MAX_DIAMOND_OFFSETS == 2 * 9189 * 9190  # every int64-path k
+    monkeypatch.setattr(cli, "MAX_DIAMOND_OFFSETS", 24)  # k = 3
+    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "diamond"])
+    assert code == 0 and "diamond: PASS (24 pairs checked" in out
+    for mode in ("diamond", "both"):
+        code, out, err = run_cli(capsys, ["verify", "--k", "4", "--mode", mode])
+        assert code == 2 and out == "" and "40 offsets" in err
+    # The window check alone has no diamond to bound.
+    code, _, _ = run_cli(capsys, ["verify", "--k", "4", "--mode", "window"])
+    assert code == 0
+
+
 # --------------------------------------------------------------- bounds
 
 def test_bounds_row_k3(capsys):
@@ -422,6 +452,31 @@ def test_bounds_row_budget_is_inclusive(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 6
     code, _, err = run_cli(capsys, ["bounds", "--k-min", "3", "--k-max", "8"])
     assert code == 2 and "6 rows" in err
+
+
+class CountingSink:
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_bounds_csv_streams_records(monkeypatch):
+    # Holding the records (two Fractions each) takes about 410 bytes per
+    # row, 2 MB here. 5000 rows, not more: tracing every Fraction
+    # allocation makes the run about nine times slower.
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["bounds", "--k-min", "1", "--k-max", "5000",
+                     "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars > 2 * 10**5
+    assert peak < 2**20, peak
 
 
 # --------------------------------------------------------------- nohole

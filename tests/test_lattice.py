@@ -1,5 +1,6 @@
 """Lattice geometry: distances, spheres, balls, two-center shells."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,6 +59,17 @@ def test_sets_match_box_scan_oracle(m):
     assert t_set(m) == scan_box(
         lambda x, y: min(abs(x) + abs(y), abs(x) + abs(y - 1)) == m, m + 2
     )
+
+
+def test_t_set_matches_a_box_scan_up_to_200():
+    # The same filter as scan_box, in array form: every point of the box
+    # [-m, m] x [-m, m + 1] whose nearer centre is at distance m.
+    for m in range(201):
+        xs, ys = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 2),
+                             indexing="ij")
+        near = np.minimum(abs(xs) + abs(ys), abs(xs) + abs(ys - 1)) == m
+        # Row-major order over (x, y) is lexicographic order.
+        assert t_set(m) == list(zip(xs[near].tolist(), ys[near].tolist())), m
 
 
 def test_counting_formulas_up_to_60():

@@ -21,6 +21,7 @@ from gridlabel import (
     gcd_ab,
     label,
     label_difference,
+    label_many,
     label_window,
     scheme_params,
 )
@@ -58,6 +59,69 @@ def naive_window_check(scheme, width, height, x0=0, y0=0):
 def mutant(k, a, b, c):
     return LabelingScheme(k=k, p=(k - 1) // 2 if k % 2 else k // 2,
                           parity_case="hand-built", a=a, b=b, c=c)
+
+
+# ------------------------------------------------- reference kernels
+#
+# The scalar diamond loop and the int64 window loop the array kernels
+# replaced. They are kept only here, as the reference the kernels must
+# match verdict for verdict.
+
+def reference_check_diamond(scheme, max_violations=verifier.DEFAULT_MAX_VIOLATIONS):
+    k = scheme.k
+    violations = []
+    checked = 0
+    for off in diamond_offsets(k):
+        checked += 1
+        r = abs(off[0]) + abs(off[1])
+        required = k + 1 - r
+        actual = label(scheme, off)
+        if actual < required:
+            violations.append(ViolationReport(off, r, required, actual))
+    return verifier.VerificationVerdict(
+        passed=not violations,
+        checked_pairs=checked,
+        violations=tuple(violations[:max_violations]),
+    )
+
+
+def reference_check_window(scheme, width, height,
+                           max_violations=verifier.DEFAULT_MAX_VIOLATIONS, *,
+                           x0=0, y0=0):
+    k = scheme.k
+    grid = label_window(scheme, x0, y0, width, height)
+    reports = {}
+    pairs = 0
+    for dx in range(0, min(k, width - 1) + 1):
+        reach = min(k - dx, height - 1)
+        dy_values = range(1, reach + 1) if dx == 0 else range(-reach, reach + 1)
+        for dy in dy_values:
+            if dy >= 0:
+                base = grid[: height - dy, : width - dx]
+                shifted = grid[dy:, dx:]
+            else:
+                base = grid[-dy:, : width - dx]
+                shifted = grid[: height + dy, dx:]
+            pairs += base.size
+            diff = shifted - base
+            gap = np.abs(diff)
+            r = dx + abs(dy)
+            required = k + 1 - r
+            mask = gap < required
+            if not mask.any():
+                continue
+            if (mask & (diff >= 0)).any():
+                off = (dx, dy)
+                reports[off] = ViolationReport(off, r, required, label(scheme, off))
+            if (mask & (diff < 0)).any():
+                off = (-dx, -dy)
+                reports[off] = ViolationReport(off, r, required, label(scheme, off))
+    ordered = tuple(sorted(reports.values(), key=lambda rep: rep.offset))
+    return verifier.VerificationVerdict(
+        passed=not reports,
+        checked_pairs=pairs,
+        violations=ordered[:max_violations],
+    )
 
 
 # ------------------------------------------------------- label_difference
@@ -229,6 +293,123 @@ def test_injectivity_within_reuse_distance():
             assert label(s, off) != 0, (k, off)
 
 
+# ------------------------------------------- kernels against references
+
+SUPPORTED_UP_TO_80 = [1] + list(range(3, 81))
+CAPS = [0, 1, 4, 16, 10**6]
+
+
+def perturbed_schemes(ks):
+    """+-1 on one of a, b, c of each real scheme, kept when it breaks."""
+    for k in ks:
+        s = scheme_params(k)
+        for a, b, c in [(s.a + 1, s.b, s.c), (s.a - 1, s.b, s.c),
+                        (s.a, s.b + 1, s.c), (s.a, s.b - 1, s.c),
+                        (s.a, s.b, s.c + 1), (s.a, s.b, s.c - 1)]:
+            m = mutant(k, a, b, c)
+            if not reference_check_diamond(m).passed:
+                yield m
+
+
+# Triples past 2^64: no int64 path applies, labels are Python integers.
+# The first two put small labels next to the origin, so most offsets
+# violate; the last is valid-looking noise.
+HUGE = 2**70 + 11
+OBJECT_PATH_SCHEMES = [
+    mutant(k, a, b, c)
+    for k in (1, 3, 4, 9)
+    for a, b, c in [(HUGE + 1, 2 * HUGE - 1, HUGE), (2**65 + 3, 2**66 + 5, HUGE),
+                    (3**45, 5**30, 2**67 + 1)]
+]
+
+
+def test_diamond_matches_reference_on_real_schemes():
+    for k in SUPPORTED_UP_TO_80 + [501]:
+        s = scheme_params(k)
+        assert check_diamond(s) == reference_check_diamond(s), k
+
+
+def test_window_matches_reference_on_real_schemes():
+    for k in SUPPORTED_UP_TO_80 + [501]:
+        s = scheme_params(k)
+        assert (check_window(s, 16, 12, x0=-7, y0=13)
+                == reference_check_window(s, 16, 12, x0=-7, y0=13)), k
+
+
+def test_kernels_match_reference_past_the_violation_cap():
+    schemes = list(perturbed_schemes([1] + list(range(3, 13))))
+    # Schemes that violate at most offsets, far past every finite cap.
+    schemes += [mutant(k, a, b, c) for k in (3, 5, 9, 14)
+                for a, b, c in [(1, 1, 3), (1, 2, 50), (0, 0, 7), (2, 3, 7)]]
+    assert len(schemes) >= 20
+    counts = [len(reference_check_diamond(s, 10**6).violations) for s in schemes]
+    assert sum(n > 16 for n in counts) >= 5, counts
+    for s in schemes:
+        for cap in CAPS:
+            assert check_diamond(s, cap) == reference_check_diamond(s, cap), (s, cap)
+        # The window caps its sorted reports in one slice, as before.
+        for cap in (0, 10**6):
+            assert (check_window(s, 20, 20, cap, x0=5, y0=-3)
+                    == reference_check_window(s, 20, 20, cap, x0=5, y0=-3)), (s, cap)
+
+
+def test_kernels_match_reference_on_the_object_path():
+    failing = 0
+    for s in OBJECT_PATH_SCHEMES:
+        assert label_many(s, np.arange(3), np.arange(3)).dtype == object
+        for cap in (0, 16, 10**6):
+            d = check_diamond(s, cap)
+            assert d == reference_check_diamond(s, cap), (s, cap)
+            assert (check_window(s, 12, 12, cap, x0=-5, y0=2)
+                    == reference_check_window(s, 12, 12, cap, x0=-5, y0=2)), (s, cap)
+            failing += not d.passed
+    assert failing, "no object-path scheme fails"
+
+
+@pytest.mark.parametrize("c", [2**15 - 1, 2**15, 2**31 - 1, 2**31])
+def test_window_matches_reference_at_the_narrow_dtype_limits(c):
+    # a = c - 1 puts labels 0 and c - 1 side by side, the widest gap the
+    # narrowed grid must hold; b = 1 makes vertical neighbours violate.
+    for k in (1, 3, 5, 9):
+        for a, b in [(c - 1, 1), (c - 1, c // 2), (c // 3, c - 2), (1, c - 1)]:
+            s = mutant(k, a, b, c)
+            for x0, y0 in [(0, 0), (c - 3, 1 - c), (-(10**12), 7)]:
+                for cap in (0, 10**6):
+                    assert (check_window(s, 11, 9, cap, x0=x0, y0=y0)
+                            == reference_check_window(s, 11, 9, cap, x0=x0, y0=y0)), \
+                        (k, a, b, c, x0, y0, cap)
+
+
+@pytest.mark.parametrize("c, dtype", [
+    (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+])
+def test_window_grid_takes_the_narrowest_type_holding_c(c, dtype):
+    grid = label_window(mutant(3, 1, 1, c), 0, 0, 3, 3)
+    assert verifier._narrowed(grid, c).dtype == dtype
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100, 10**9])
+def test_diamond_blocks_match_reference(monkeypatch, block_cells):
+    # Blocks of one column, of a few columns not dividing 2k+1, and of all.
+    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
+    for s in [scheme_params(1), scheme_params(9), scheme_params(24),
+              mutant(5, 1, 1, 3), mutant(7, 2, 9, 40), OBJECT_PATH_SCHEMES[1]]:
+        for cap in (0, 5, 10**6):
+            assert check_diamond(s, cap) == reference_check_diamond(s, cap), (s, cap)
+
+
+def test_diamond_memory_is_bounded_by_the_block():
+    s = scheme_params(3001)  # 18 million offsets: 144 MB per int64 array
+    tracemalloc.start()
+    try:
+        verdict = check_diamond(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.checked_pairs == 2 * 3001 * 3002
+    assert peak < 32 * 2**20, peak
+
+
 # ------------------------------------------------------------ no-hole
 
 def test_no_hole_k3_both_modes():
@@ -271,7 +452,7 @@ def test_no_hole_rejects_unknown_mode():
 @pytest.mark.parametrize("block_cells", [1, 7, 100, 10**9])
 def test_no_hole_row_blocks_count_like_the_dense_period(monkeypatch, block_cells):
     # Block sizes below one row, not dividing c, and above c*c.
-    monkeypatch.setattr(verifier, "NOHOLE_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
     # In the last three, single rows miss labels other rows attain.
     for s in [scheme_params(5), mutant(3, 5, 15, 15), mutant(3, 6, 10, 100),
               mutant(3, 10, 3, 30), mutant(3, 0, 1, 30), mutant(3, 0, 4, 30)]:
