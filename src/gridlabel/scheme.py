@@ -164,7 +164,7 @@ def _reduced(values: np.ndarray, c: int) -> np.ndarray:
     # exceeds their range. uint64 keeps its own type so values past
     # 2^63-1 are reduced before the int64 cast.
     modulus = np.uint64(c) if values.dtype == np.uint64 else np.int64(c)
-    return np.mod(values, modulus).astype(np.int64)
+    return np.mod(values, modulus).astype(np.int64, copy=False)
 
 
 # Elements of an object array may be numpy integers, whose fixed-width

@@ -1,5 +1,6 @@
 """CLI contract: formats, exit codes, golden files, round-trips."""
 
+import contextlib
 import csv
 import io
 import json
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 import gridlabel
 from gridlabel import LabelingScheme, bounds_table, label, label_window, scheme_params
 from gridlabel import cli
-from gridlabel.cli import main, run_verify, write_bounds, write_label
+from gridlabel.cli import main, write_bounds, write_label, write_verify
 
 GOLDEN = Path(__file__).parent / "golden"
+REPORTS = json.loads((GOLDEN / "cli_reports.json").read_text())
+# (x + y) mod 12 breaks k = 3 at offset (1, 0): labels 0 and 1 need a gap of 3.
+MUTANT = LabelingScheme(k=3, p=1, parity_case="hand-built", a=1, b=1, c=12)
 
 
 def run_cli(capsys, argv):
@@ -218,6 +222,24 @@ def test_golden_label_csv(capsys):
     assert out == (GOLDEN / "label_k3_4x4.csv").read_text()
 
 
+@pytest.mark.parametrize("case", REPORTS["commands"],
+                         ids=lambda case: " ".join(case["argv"]))
+def test_report_bytes(capsys, case):
+    # verify, nohole and search byte for byte, errors included.
+    assert run_cli(capsys, case["argv"]) == (case["rc"], case["stdout"],
+                                             case["stderr"])
+
+
+@pytest.mark.parametrize("case", REPORTS["mutant"],
+                         ids=lambda case: "-".join(map(str, case["args"].values())))
+def test_write_verify_bytes_with_violations(case):
+    a = case["args"]
+    out = io.StringIO()
+    code = write_verify(out, MUTANT, a["mode"], a["width"], a["height"], a["fmt"],
+                        a["max_violations"], x0=a["x0"], y0=a["y0"])
+    assert (code, out.getvalue()) == (case["rc"], case["stdout"])
+
+
 def test_label_csv_round_trip(capsys):
     _, out, _ = run_cli(capsys, ["label", "--k", "3", "--window", "0,0,4,4",
                                  "--format", "csv"])
@@ -328,10 +350,10 @@ def test_verify_k2_usage_error(capsys):
 
 
 def test_verify_violation_exit_code():
-    bad = LabelingScheme(k=3, p=1, parity_case="hand-built", a=1, b=1, c=12)
-    code, text = run_verify(bad, "both", 20, 20, "csv")
+    out = io.StringIO()
+    code = write_verify(out, MUTANT, "both", 20, 20, "csv")
     assert code == 1
-    lines = text.splitlines()
+    lines = out.getvalue().splitlines()
     assert lines[0] == "check,offset_x,offset_y,r,required_gap,actual"
     assert "diamond,1,0,1,3,1" in lines
     assert "window,1,0,1,3,1" in lines
@@ -362,14 +384,15 @@ def test_verify_shifted_window(capsys):
                                     "--window", "0,0,3,3", "--format", "json"])
     assert json.loads(out)["window"] == {"width": 3, "height": 3}
     # (x + y) mod 12 fails k=3 on the 2x1 window at 0,0 but not at 11,0.
-    bad = LabelingScheme(k=3, p=1, parity_case="hand-built", a=1, b=1, c=12)
-    assert run_verify(bad, "window", 2, 1, "csv")[0] == 1
-    assert run_verify(bad, "window", 2, 1, "csv", x0=11)[0] == 0
+    assert write_verify(io.StringIO(), MUTANT, "window", 2, 1, "csv") == 1
+    assert write_verify(io.StringIO(), MUTANT, "window", 2, 1, "csv", x0=11) == 0
 
 
 def test_verify_window_too_large():
-    with pytest.raises(Exception):
-        run_verify(scheme_params(3), "window", 2000, 2000, "ascii")
+    out = Chunks()
+    with pytest.raises(cli.OutputTooLarge):
+        write_verify(out, scheme_params(3), "window", 2000, 2000, "ascii")
+    assert out.chunks == []
 
 
 def test_verify_huge_diamond_rejected_at_once():
@@ -570,3 +593,46 @@ def test_search_huge_k_returns_quickly():
     assert payload["minimal_lambda"] == 30_000_001
     assert payload["certificate"] == [[0, 0, 0], [1, 0, 30_000_000]]
     assert elapsed < 10, elapsed
+
+
+# ------------------------------------------------------------ arguments
+
+FORMATS = st.sampled_from(["ascii", "csv", "json", "pgm"])
+SMALL_K = st.sampled_from(["-1", "0", "1", "2", "3", "4", "7"])
+# "--window=-3,..." in one word: argparse reads a separate "-3,..." as a flag.
+WINDOW = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 4),
+                   st.integers(-1, 4)).map(lambda w: "--window=%d,%d,%d,%d" % w)
+BUDGET = st.integers(-1, 50).map(str)
+ARGV = st.one_of(
+    st.tuples(st.just("label"), st.just("--k"), SMALL_K, WINDOW),
+    st.tuples(st.just("verify"), st.just("--k"), SMALL_K, WINDOW,
+              st.just("--mode"), st.sampled_from(["diamond", "window", "both"]),
+              st.just("--max-violations"), st.integers(-1, 3).map(str)),
+    st.tuples(st.just("bounds"), st.just("--k-min"), SMALL_K, st.just("--k-max"),
+              SMALL_K),
+    st.tuples(st.just("nohole"), st.just("--k"), SMALL_K, st.just("--mode"),
+              st.sampled_from(["gcd", "enumerate", "both"]),
+              st.just("--pair-budget"), st.integers(-1, 10**4).map(str)),
+    st.tuples(st.just("search"), st.just("--rows"), st.integers(-1, 3).map(str),
+              st.just("--cols"), st.integers(-1, 3).map(str), st.just("--k"),
+              SMALL_K, st.just("--node-budget"), BUDGET),
+)
+
+
+@settings(max_examples=150, deadline=5000)
+@given(argv=ARGV, fmt=FORMATS)
+def test_cli_arguments_exit_cleanly(argv, fmt):
+    # Every drawn command ends with 0, 1 or 2 (argparse's SystemExit(2)
+    # included), within the deadline, and json output parses.
+    argv = [*argv, "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if fmt == "json" and code in (0, 1):
+        json.loads(out.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue()
