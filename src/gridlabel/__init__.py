@@ -20,7 +20,7 @@ from .bounds import (
     ratio,
     triangular_convolution,
 )
-from .lattice import Vertex, ball, manhattan_distance, sphere, t_set
+from .lattice import Vertex, ball, sphere, t_set
 from .scheme import (
     EVEN_K_EVEN_P,
     EVEN_K_ODD_P,
@@ -55,7 +55,6 @@ from .verifier import (
     check_diamond,
     check_no_hole,
     check_window,
-    diamond_offsets,
     gcd_ab,
     label_difference,
 )
@@ -63,13 +62,13 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Vertex", "manhattan_distance", "sphere", "ball", "t_set",
+    "Vertex", "sphere", "ball", "t_set",
     "LabelingScheme", "UnsupportedK", "scheme_params", "label",
     "label_many", "label_window", "lambda_ub",
     "PARITY_CASES", "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P",
     "EVEN_K_EVEN_P",
     "ViolationReport", "VerificationVerdict", "NoHoleReport",
-    "BudgetExceeded", "label_difference", "diamond_offsets",
+    "BudgetExceeded", "label_difference",
     "check_diamond", "check_window", "check_no_hole", "gcd_ab",
     "GCD_AB_ALLOWED",
     "LowerBound", "BoundsRecord", "lambda_lb", "lb_summation",

@@ -10,7 +10,9 @@ Subcommands:
 Each subcommand is one writer, ``write_<command>(out, ...)``, that
 returns the exit code and writes through ``_stream``: a head, then rows
 as they are formatted, then a tail. JSON goes through ``_stream_json``,
-and only label and bounds splice a streamed list into it.
+and only label and bounds splice a streamed list into it. Every writer
+raises ValueError for an unknown format before it checks or writes
+anything.
 
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k,
@@ -34,7 +36,7 @@ from typing import Optional
 
 from .bounds import bounds_records
 from .scheme import LabelingScheme, UnsupportedK, label_window, scheme_params
-from .search import Patch, exact_span
+from .search import DEFAULT_NODE_BUDGET, Patch, exact_span
 from .verifier import (
     DEFAULT_MAX_VIOLATIONS,
     DEFAULT_PAIR_BUDGET,
@@ -50,6 +52,7 @@ MAX_OUTPUT_ROWS = 1_000_000
 MAX_DIAMOND_OFFSETS = 2 * 9189 * 9190
 
 _FORMAT = {"choices": ["ascii", "csv", "json"], "default": "ascii"}
+_LABEL_FORMATS = ["ascii", "csv", "json", "pgm"]
 _Y = "\0"  # stands for y in a label row template; no number contains it
 
 
@@ -61,6 +64,11 @@ class OutputTooLarge(ValueError):
 def _check_size(what: str, count: int, unit: str, budget: int) -> None:
     if count > budget:
         raise OutputTooLarge(f"{what} has {count} {unit}; the budget is {budget}")
+
+
+def _check_format(fmt: str, choices: list[str] = _FORMAT["choices"]) -> None:
+    if fmt not in choices:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _parse_window(text: str) -> tuple[int, int, int, int]:
@@ -122,6 +130,7 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
 
     Raises OutputTooLarge above the cell budget, before writing anything.
     """
+    _check_format(fmt, _LABEL_FORMATS)
     _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
     grid = label_window(scheme, x0, y0, width, height)
     xs = range(x0, x0 + width)
@@ -142,14 +151,12 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
     elif fmt == "pgm":
         _stream(out, f"P2\n{width} {height}\n{scheme.c - 1}\n",
                 rows(down, " ".join(["%d"] * width) + "\n"))
-    elif fmt == "json":
+    else:
         template = ",\n".join(f"    [\n      {x},\n      {_Y},\n      %d\n    ]"
                               for x in xs)
         _stream_json(out, _envelope(scheme.k, scheme, window={
             "x0": x0, "y0": y0, "width": width, "height": height}, cells=[]),
             rows(up, template))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return 0
 
 
@@ -164,6 +171,7 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
     name the origin only when it is not 0,0. Raises OutputTooLarge for a
     diamond or window over its budget, before checking or writing anything.
     """
+    _check_format(fmt)
     diamond, window = mode in ("diamond", "both"), mode in ("window", "both")
     if diamond:
         _check_size("diamond", 2 * scheme.k * (scheme.k + 1), "offsets",
@@ -228,6 +236,7 @@ def write_bounds(out, k_min: int, k_max: int, fmt: str) -> int:
     record first, because its column widths depend on all of them. Raises
     OutputTooLarge above the row budget, before writing anything.
     """
+    _check_format(fmt)
     _check_size("bounds table", k_max - k_min + 1, "rows", MAX_OUTPUT_ROWS)
     records = bounds_records(k_min, k_max)
     # k, lower_exact, lower, upper, ratio_exact, ratio_decimal; None where
@@ -246,14 +255,12 @@ def write_bounds(out, k_min: int, k_max: int, fmt: str) -> int:
                                 "null" if ratio is None else f'"{ratio}"',
                                 "null" if decimal is None else f'"{decimal}"')
             for k, exact, lower, upper, ratio, decimal in fields))
-    elif fmt == "ascii":
+    else:
         rows = [("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")]
         rows += [tuple(f or "-" for f in row) for row in fields]
         template = "  ".join(f"%{max(len(row[i]) for row in rows)}s"
                              for i in range(len(rows[0]))) + "\n"
         _stream(out, "", (template % row for row in rows))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return 0
 
 
@@ -261,6 +268,7 @@ def write_nohole(out, scheme: LabelingScheme, mode: str, pair_budget: int,
                  fmt: str) -> int:
     """Run the no-hole audit and write its report to out; returns the exit
     code, 0 for a no-hole scheme and 1 otherwise."""
+    _check_format(fmt)
     report = check_no_hole(scheme, mode, pair_budget)
     if fmt == "json":
         _stream_json(out, _envelope(scheme.k, scheme, mode=mode, **asdict(report)))
@@ -281,6 +289,7 @@ def write_search(out, rows: int, cols: int, k: int, node_budget: int,
                  fmt: str) -> int:
     """Search the rows x cols patch for its minimal span and write the
     result and certificate to out; returns 0."""
+    _check_format(fmt)
     patch = Patch(rows=rows, cols=cols)
     result = exact_span(patch, k, node_budget)
     cert = result.certificate
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--window", type=_parse_window, default=(0, 0, 16, 16),
                    help="x0,y0,width,height (default 0,0,16,16)")
-    p.add_argument("--format", choices=["ascii", "csv", "json", "pgm"], default="ascii")
+    p.add_argument("--format", choices=_LABEL_FORMATS, default="ascii")
 
     p = sub.add_parser("verify", help="validity audit")
     p.add_argument("--k", type=int, required=True)
@@ -345,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--format", **_FORMAT)
 
     return parser

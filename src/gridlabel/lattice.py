@@ -16,11 +16,6 @@ from __future__ import annotations
 Vertex = tuple[int, int]
 
 
-def manhattan_distance(u: Vertex, v: Vertex) -> int:
-    """Manhattan distance |u.x - v.x| + |u.y - v.y|."""
-    return abs(u[0] - v[0]) + abs(u[1] - v[1])
-
-
 def sphere(m: int) -> list[Vertex]:
     """All vertices at distance exactly m from the origin.
 

@@ -10,10 +10,15 @@ to the label of their difference vector (``label_difference``), and the
 offset diamond is closed under negation, this finite check is exact for
 the whole infinite grid: a clean diamond certifies the scheme, while a
 violating offset names a concrete offending pair (the origin plus that
-offset, since the origin's label is 0). The offsets are labelled in
-blocks of whole columns x, about BLOCK_CELLS offsets each, by one
-``label_many`` call per block (int64 where the scheme allows it, exact
+offset, since the origin's label is 0). The diamond is labelled in
+blocks of whole columns x, about BLOCK_CELLS cells each, by one
+``label_window`` call per block (int64 where the scheme allows it, exact
 Python integers otherwise), so memory stays O(BLOCK_CELLS + k) at any k.
+Each block is a rectangle only as tall as its tallest column, and each
+cell is compared with the gap k+1-|x|-|y| it requires. A cell outside
+the diamond requires a gap of at most 0, which no label misses when
+c >= 1, since labels then lie in [0, c); so only the origin, whose
+required gap is set to 0, needs excluding.
 
 ``check_window`` brute-forces |L(u) - L(v)| over all vertex pairs of a
 finite rectangle, using nothing but label evaluation and absolute
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,7 +53,6 @@ from .scheme import (
     ODD_K_ODD_P,
     LabelingScheme,
     label,
-    label_many,
     label_window,
     scheme_params,
 )
@@ -120,63 +124,46 @@ def label_difference(scheme: LabelingScheme, u, v) -> int:
     return label(scheme, (u[0] - v[0], u[1] - v[1]))
 
 
-def diamond_offsets(k: int) -> Iterator[tuple[int, int]]:
-    """All offsets (x, y) with 1 <= |x|+|y| <= k, lexicographic order."""
-    for x in range(-k, k + 1):
-        span = k - abs(x)
-        for y in range(-span, span + 1):
-            if x == 0 and y == 0:
-                continue
-            yield (x, y)
-
-
 def check_diamond(scheme: LabelingScheme,
                   max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationVerdict:
     """Exact validity check via offset labels (2k(k+1) offsets for parameter k).
 
     Only the first max_violations violating offsets, in lexicographic
     order, become reports; passed is False whenever any offset violates.
+    Raises ValueError for a modulus c < 1, whose labels can be negative.
     """
     _check_non_negative("max_violations", max_violations)
+    if scheme.c < 1:
+        raise ValueError(f"modulus c must be >= 1, got {scheme.c}")
     k = scheme.k
     violations: list[ViolationReport] = []
     failed = False
-    checked = 0
     columns = max(1, BLOCK_CELLS // (2 * k + 1))
     for x_lo in range(-k, k + 1, columns):
-        xs, ys = _diamond_columns(k, x_lo, min(x_lo + columns, k + 1))
-        checked += xs.size
-        r = np.abs(xs) + np.abs(ys)
-        required = k + 1 - r
-        actual = label_many(scheme, xs, ys)
-        hits = np.flatnonzero(actual < required)
-        if not hits.size:
+        xs = np.arange(x_lo, min(x_lo + columns, k + 1))
+        h = k - int(np.abs(xs).min())
+        # Rows are x and columns y, so row-major order is lexicographic.
+        actual = label_window(scheme, x_lo, -h, xs.size, 2 * h + 1).T
+        required = (k + 1 - np.abs(xs))[:, None] - np.abs(np.arange(-h, h + 1))
+        if x_lo <= 0 < x_lo + xs.size:
+            required[-x_lo, h] = 0  # the origin
+        # Cells off the diamond need a gap <= 0, which no label in [0, c) misses.
+        bad = actual < required
+        if not bad.any():
             continue
+        ix, iy = np.nonzero(bad)
         failed = True
-        hits = hits[: max_violations - len(violations)]
-        violations += map(ViolationReport,
-                          zip(xs[hits].tolist(), ys[hits].tolist()),
-                          r[hits].tolist(), required[hits].tolist(),
-                          actual[hits].tolist())
+        keep = max_violations - len(violations)
+        ix, iy = ix[:keep], iy[:keep]
+        ox, oy = xs[ix], iy - h
+        violations += map(ViolationReport, zip(ox.tolist(), oy.tolist()),
+                          (np.abs(ox) + np.abs(oy)).tolist(),
+                          required[ix, iy].tolist(), actual[ix, iy].tolist())
     return VerificationVerdict(
         passed=not failed,
-        checked_pairs=checked,
+        checked_pairs=2 * k * (k + 1),
         violations=tuple(violations),
     )
-
-
-def _diamond_columns(k: int, x_lo: int, x_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diamond offsets with x_lo <= x < x_hi, lexicographic, as (xs, ys)."""
-    cols = np.arange(x_lo, x_hi)
-    spans = k - np.abs(cols)
-    lengths = 2 * spans + 1
-    xs = np.repeat(cols, lengths)
-    # Each column runs y = -span, ..., span from its start in the block.
-    ys = np.arange(xs.size) - np.repeat(np.cumsum(lengths) - lengths + spans, lengths)
-    if x_lo <= 0 < x_hi:
-        keep = (xs != 0) | (ys != 0)
-        xs, ys = xs[keep], ys[keep]
-    return xs, ys
 
 
 def check_window(scheme: LabelingScheme, width: int, height: int,

@@ -636,3 +636,24 @@ def test_cli_arguments_exit_cleanly(argv, fmt):
         json.loads(out.getvalue())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue()
+
+
+@pytest.mark.parametrize("writer, args", [
+    (write_label, (scheme_params(3), 0, 0, 4, 4, "xml")),
+    (write_verify, (scheme_params(3), "both", 4, 4, "pgm")),
+    (write_bounds, (1, 10, "xml")),
+    (cli.write_nohole, (scheme_params(3), "both", 10**6, "pgm")),
+    (cli.write_search, (2, 2, 3, 100, "pgm")),
+])
+def test_writers_reject_an_unknown_format_first(monkeypatch, writer, args):
+    # argparse's choices hide this from the command line, not from callers.
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the format was checked")
+
+    for name in ("check_diamond", "check_window", "check_no_hole",
+                 "exact_span", "label_window", "bounds_records"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = Chunks()
+    with pytest.raises(ValueError, match="unknown format"):
+        writer(out, *args)
+    assert out.chunks == []

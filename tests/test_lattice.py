@@ -1,13 +1,9 @@
-"""Lattice geometry: distances, spheres, balls, two-center shells."""
+"""Lattice geometry: spheres, balls, two-center shells."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from gridlabel import ball, manhattan_distance, sphere, t_set
-
-coords = st.integers(min_value=-10**6, max_value=10**6)
+from gridlabel import ball, sphere, t_set
 
 
 def scan_box(predicate, reach):
@@ -18,20 +14,6 @@ def scan_box(predicate, reach):
         for y in range(-reach, reach + 2)
         if predicate(x, y)
     )
-
-
-def test_manhattan_examples():
-    assert manhattan_distance((0, 0), (0, 0)) == 0
-    assert manhattan_distance((0, 0), (2, 3)) == 5
-    assert manhattan_distance((-1, 4), (2, 2)) == 5
-
-
-@given(coords, coords, coords, coords)
-def test_manhattan_symmetric_and_zero_iff_equal(x1, y1, x2, y2):
-    d = manhattan_distance((x1, y1), (x2, y2))
-    assert d == manhattan_distance((x2, y2), (x1, y1))
-    assert d >= 0
-    assert (d == 0) == ((x1, y1) == (x2, y2))
 
 
 def test_sphere_examples():

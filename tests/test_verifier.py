@@ -17,7 +17,6 @@ from gridlabel import (
     check_diamond,
     check_no_hole,
     check_window,
-    diamond_offsets,
     gcd_ab,
     label,
     label_difference,
@@ -66,6 +65,16 @@ def mutant(k, a, b, c):
 # The scalar diamond loop and the int64 window loop the array kernels
 # replaced. They are kept only here, as the reference the kernels must
 # match verdict for verdict.
+
+def diamond_offsets(k):
+    """All offsets (x, y) with 1 <= |x|+|y| <= k, lexicographic order."""
+    for x in range(-k, k + 1):
+        span = k - abs(x)
+        for y in range(-span, span + 1):
+            if x == 0 and y == 0:
+                continue
+            yield (x, y)
+
 
 def reference_check_diamond(scheme, max_violations=verifier.DEFAULT_MAX_VIOLATIONS):
     k = scheme.k
@@ -189,6 +198,13 @@ def test_diamond_violation_cap():
 def test_negative_max_violations_rejected(check):
     with pytest.raises(ValueError, match="max_violations"):
         check(mutant(3, 1, 1, 12), -1)
+
+
+@pytest.mark.parametrize("c", [0, -7])
+def test_diamond_rejects_a_modulus_below_one(c):
+    # Labels in (c, 0] would fail cells off the diamond, which need no gap.
+    with pytest.raises(ValueError, match="modulus"):
+        check_diamond(mutant(3, 2, 5, c))
 
 
 # ------------------------------------------------------------ check_window
@@ -388,9 +404,10 @@ def test_window_grid_takes_the_narrowest_type_holding_c(c, dtype):
     assert verifier._narrowed(grid, c).dtype == dtype
 
 
-@pytest.mark.parametrize("block_cells", [1, 7, 100, 10**9])
+@pytest.mark.parametrize("block_cells", [1, 7, 57, 95, 100, 10**9])
 def test_diamond_blocks_match_reference(monkeypatch, block_cells):
     # Blocks of one column, of a few columns not dividing 2k+1, and of all.
+    # At k = 9, 57 and 95 put x = 0 first and last in a block of 3 and 5.
     monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
     for s in [scheme_params(1), scheme_params(9), scheme_params(24),
               mutant(5, 1, 1, 3), mutant(7, 2, 9, 40), OBJECT_PATH_SCHEMES[1]]:
