@@ -14,6 +14,11 @@ and only label and bounds splice a streamed list into it. Every writer
 raises ValueError for an unknown format before it checks or writes
 anything.
 
+label fills its rows from exact Python integers, one label call per
+window, and bounds and search need no arrays, so those commands never
+import numpy; verify and nohole's enumeration import it through the
+verifier when their first check runs.
+
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k,
 output over MAX_OUTPUT_ROWS (window cells or bounds rows), a diamond
@@ -35,7 +40,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from .bounds import bounds_records
-from .scheme import LabelingScheme, UnsupportedK, label_window, scheme_params
+from .scheme import LabelingScheme, UnsupportedK, label, scheme_params
 from .search import DEFAULT_NODE_BUDGET, Patch, exact_span
 from .verifier import (
     DEFAULT_MAX_VIOLATIONS,
@@ -128,19 +133,27 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
                 height: int, fmt: str) -> int:
     """Write the label grid to out one row at a time; returns 0.
 
-    Raises OutputTooLarge above the cell budget, before writing anything.
+    Labels are exact Python integers in arithmetic progressions:
+    L(x0 + j, y) = (L(x0, y) + a*j) mod c along a row, and L(x0, y) steps
+    by +-b mod c from row to row, so the grid needs one label call and no
+    arrays. Raises OutputTooLarge above the cell budget, before writing
+    anything.
     """
     _check_format(fmt, _LABEL_FORMATS)
     _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
-    grid = label_window(scheme, x0, y0, width, height)
+    c = scheme.c
+    steps = [scheme.a * j for j in range(width)]
     xs = range(x0, x0 + width)
-    up = range(height)
-    down = range(height - 1, -1, -1)  # matrix orientation: top row = max y
+    up = range(y0, y0 + height)
+    down = range(y0 + height - 1, y0 - 1, -1)  # matrix orientation: top row = max y
 
-    def rows(order, template):
+    def rows(ys, template):
         # template has x baked in, _Y for y and %d for each label.
-        return (template.replace(_Y, str(y0 + iy)) % tuple(grid[iy].tolist())
-                for iy in order)
+        first, step = label(scheme, (x0, ys[0])), ys.step * scheme.b
+        for y in ys:
+            yield template.replace(_Y, str(y)) % tuple([(first + s) % c
+                                                        for s in steps])
+            first = (first + step) % c
 
     if fmt == "csv":
         template = "".join(f"{x},{_Y},%d\n" for x in xs)
@@ -232,35 +245,42 @@ def write_bounds(out, k_min: int, k_max: int, fmt: str) -> int:
     """Write the bounds table for [k_min, k_max] to out one record at a
     time; returns 0.
 
-    csv and json make each record as they write it. ascii holds every
-    record first, because its column widths depend on all of them. Raises
-    OutputTooLarge above the row budget, before writing anything.
+    Every format makes each record as it writes it. ascii reads the
+    records twice, first for its column widths, which depend on all of
+    them, then to write the rows. Raises OutputTooLarge above the row
+    budget, before writing anything.
     """
     _check_format(fmt)
     _check_size("bounds table", k_max - k_min + 1, "rows", MAX_OUTPUT_ROWS)
-    records = bounds_records(k_min, k_max)
-    # k, lower_exact, lower, upper, ratio_exact, ratio_decimal; None where
-    # there is no value (k = 2 has no scheme).
-    fields = ((str(r.k), str(r.lower_exact), str(r.lower),
-               None if r.upper is None else str(r.upper),
-               None if r.ratio is None else str(r.ratio),
-               None if r.ratio is None else f"{float(r.ratio):.6g}")
-              for r in records)
+
+    def fields():
+        # k, lower_exact, lower, upper, ratio_exact, ratio_decimal; None where
+        # there is no value (k = 2 has no scheme). upper / lower is the
+        # ratio's double: int division rounds correctly.
+        return ((str(r.k), str(r.lower_exact), str(r.lower),
+                 None if r.upper is None else str(r.upper),
+                 None if r.ratio is None else str(r.ratio),
+                 None if r.ratio is None else f"{r.upper / r.lower:.6g}")
+                for r in bounds_records(k_min, k_max))
+
+    rows = fields()  # checks the range before anything is written
     if fmt == "csv":
         _stream(out, "k,lower_exact,lower,upper,ratio_exact,ratio_decimal\n",
-                (",".join([f or "" for f in row]) + "\n" for row in fields))
+                (",".join([f or "" for f in row]) + "\n" for row in rows))
     elif fmt == "json":
         _stream_json(out, {"k_min": k_min, "k_max": k_max, "records": []}, (
             _BOUNDS_JSON_ROW % (k, exact, lower, upper or "null",
                                 "null" if ratio is None else f'"{ratio}"',
                                 "null" if decimal is None else f'"{decimal}"')
-            for k, exact, lower, upper, ratio, decimal in fields))
+            for k, exact, lower, upper, ratio, decimal in rows))
     else:
-        rows = [("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")]
-        rows += [tuple(f or "-" for f in row) for row in fields]
-        template = "  ".join(f"%{max(len(row[i]) for row in rows)}s"
-                             for i in range(len(rows[0]))) + "\n"
-        _stream(out, "", (template % row for row in rows))
+        header = ("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")
+        widths = [len(h) for h in header]
+        for row in rows:
+            widths = [max(w, len(f or "-")) for w, f in zip(widths, row)]
+        template = "  ".join(f"%{w}s" for w in widths) + "\n"
+        _stream(out, template % header,
+                (template % tuple(f or "-" for f in row) for row in fields()))
     return 0
 
 

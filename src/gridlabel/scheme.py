@@ -16,7 +16,9 @@ k = 2 is the single unsupported value: the even-k/odd-p case starts at
 p = 3, so no case covers p = 1.
 
 Scalar evaluation uses Python integers, hence stays exact at any
-magnitude. The vectorized helpers reduce coordinates mod c and work in
+magnitude, and needs no numpy: numpy is imported by the vectorized
+helpers (label_many, label_window) when they first run, not by importing
+this module. The vectorized helpers reduce coordinates mod c and work in
 int64 when the largest intermediate, (a mod c + b mod c)*(c-1), fits;
 that holds for every k <= 9189. Past that they evaluate one exact
 object-array (Python-integer) expression. Schemes are immutable and all
@@ -25,10 +27,13 @@ functions are pure.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ODD_K_ODD_P = "odd-k-odd-p"
 ODD_K_EVEN_P = "odd-k-even-p"
@@ -144,6 +149,8 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     labels come from one Python-integer (object dtype) array expression.
     Object arrays must hold integers.
     """
+    import numpy as np
+
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     if xs.dtype.kind == "f" or ys.dtype.kind == "f":
@@ -159,6 +166,8 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
 
 
 def _reduced(values: np.ndarray, c: int) -> np.ndarray:
+    import numpy as np
+
     # A numpy scalar modulus widens the result: with a Python int, NEP 50
     # makes narrow arrays (int32, uint8, ...) raise OverflowError once c
     # exceeds their range. uint64 keeps its own type so values past
@@ -167,20 +176,26 @@ def _reduced(values: np.ndarray, c: int) -> np.ndarray:
     return np.mod(values, modulus).astype(np.int64, copy=False)
 
 
-# Elements of an object array may be numpy integers, whose fixed-width
-# products would wrap; operator.index turns them into Python integers and
-# rejects non-integers.
-_INDEX = np.frompyfunc(operator.index, 1, 1)
+@functools.cache
+def _index_ufunc():
+    # Elements of an object array may be numpy integers, whose fixed-width
+    # products would wrap; operator.index turns them into Python integers
+    # and rejects non-integers.
+    import numpy as np
+
+    return np.frompyfunc(operator.index, 1, 1)
 
 
 def _as_python_ints(values: np.ndarray) -> np.ndarray:
     if values.dtype == object:
-        return _INDEX(values)
+        return _index_ufunc()(values)
     return values.astype(object)
 
 
 def _axis(origin: int, n: int, c: int) -> np.ndarray:
     """origin, ..., origin+n-1 shifted by a multiple of c into [0, c+n-1)."""
+    import numpy as np
+
     start = origin % c
     dtype = np.int64 if start + n - 1 <= _INT64_MAX else object
     return np.arange(start, start + n, dtype=dtype)
@@ -193,6 +208,8 @@ def label_window(scheme: LabelingScheme, x0: int, y0: int,
     Returned array is indexed [row, col] where row i holds y = y0 + i and
     col j holds x = x0 + j.
     """
+    import numpy as np
+
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c

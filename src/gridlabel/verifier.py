@@ -35,16 +35,16 @@ predicate decides it; enumeration of one full c-by-c period provides the
 independent confirmation.
 
 All checks are pure; violation lists are reported in lexicographic
-offset order, capped at a configurable maximum.
+offset order, capped at a configurable maximum. The array checks import
+numpy when they first run, not when this module is imported, and the
+gcd route of ``check_no_hole`` needs none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .scheme import (
     EVEN_K_EVEN_P,
@@ -56,6 +56,9 @@ from .scheme import (
     label_window,
     scheme_params,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
@@ -132,6 +135,8 @@ def check_diamond(scheme: LabelingScheme,
     order, become reports; passed is False whenever any offset violates.
     Raises ValueError for a modulus c < 1, whose labels can be negative.
     """
+    import numpy as np
+
     _check_non_negative("max_violations", max_violations)
     if scheme.c < 1:
         raise ValueError(f"modulus c must be >= 1, got {scheme.c}")
@@ -177,6 +182,8 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     offset, the difference vector taken larger-label-first, which makes
     window reports directly comparable with diamond reports.
     """
+    import numpy as np
+
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     _check_non_negative("max_violations", max_violations)
@@ -221,6 +228,8 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
 
 def _narrowed(grid: np.ndarray, c: int) -> np.ndarray:
     """An int64 label grid in the narrowest signed type holding +-c."""
+    import numpy as np
+
     if grid.dtype == np.int64:
         for dtype in (np.int16, np.int32):
             if c <= np.iinfo(dtype).max:
@@ -248,6 +257,8 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     needed = scheme.c * scheme.c
     if needed > pair_budget:
         raise BudgetExceeded(needed, pair_budget)
+    import numpy as np
+
     # Labels lie in [0, c), so histograms count them in O(c^2). The period
     # is labelled in row blocks, so memory stays O(block + c) whatever the
     # budget. Blocks are int64: label_window only leaves int64 for

@@ -18,7 +18,17 @@ from hypothesis import strategies as st
 import gridlabel
 from gridlabel import LabelingScheme, bounds_table, label, label_window, scheme_params
 from gridlabel import cli
-from gridlabel.cli import main, write_bounds, write_label, write_verify
+from gridlabel.bounds import bounds_records
+from gridlabel.cli import (
+    _Y,
+    _envelope,
+    _stream,
+    _stream_json,
+    main,
+    write_bounds,
+    write_label,
+    write_verify,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 REPORTS = json.loads((GOLDEN / "cli_reports.json").read_text())
@@ -142,6 +152,35 @@ def reference_render_bounds(records, fmt):
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def reference_write_label(out, scheme, x0, y0, width, height, fmt):
+    """The streamed writer as it was when it labelled through label_window:
+    the same templates, filled from a numpy label grid."""
+    grid = label_window(scheme, x0, y0, width, height)
+    xs = range(x0, x0 + width)
+    up = range(height)
+    down = range(height - 1, -1, -1)
+
+    def rows(order, template):
+        return (template.replace(_Y, str(y0 + iy)) % tuple(grid[iy].tolist())
+                for iy in order)
+
+    if fmt == "csv":
+        template = "".join(f"{x},{_Y},%d\n" for x in xs)
+        _stream(out, "x,y,label\n", rows(up, template))
+    elif fmt == "ascii":
+        template = " ".join([f"%{len(str(scheme.c - 1))}d"] * width) + "\n"
+        _stream(out, "", rows(down, template))
+    elif fmt == "pgm":
+        _stream(out, f"P2\n{width} {height}\n{scheme.c - 1}\n",
+                rows(down, " ".join(["%d"] * width) + "\n"))
+    else:
+        template = ",\n".join(f"    [\n      {x},\n      {_Y},\n      %d\n    ]"
+                              for x in xs)
+        _stream_json(out, _envelope(scheme.k, scheme, window={
+            "x0": x0, "y0": y0, "width": width, "height": height}, cells=[]),
+            rows(up, template))
+
+
 LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
 
 
@@ -172,12 +211,60 @@ def test_write_label_matches_reference_fuzz(k, x0, y0, w, h, fmt):
                 reference_render_label(s, x0, y0, w, h, fmt))
 
 
+def hand_built(a, b, c):
+    return LabelingScheme(k=3, p=1, parity_case="hand-built", a=a, b=b, c=c)
+
+
+# a >= c, negative a or b, a, b, c > 2^64 (the object path), and c = 1.
+HAND_BUILT = [hand_built(29, 5, 12), hand_built(12, 12, 12), hand_built(-7, 5, 12),
+              hand_built(5, -31, 12), hand_built(-9, -4, 13),
+              hand_built(2**70 + 3, 3**45, 2**66 + 7),
+              hand_built(-(2**65), 2**67 + 1, 2**64 + 13), hand_built(5, 7, 1)]
+
+
+@pytest.mark.parametrize("fmt", LABEL_FORMATS)
+@pytest.mark.parametrize("scheme", HAND_BUILT, ids=lambda s: f"{s.a},{s.b},{s.c}")
+def test_write_label_rows_match_label_window(scheme, fmt):
+    # The rows' integer progressions against the label_window grid.
+    for x0, y0 in [(0, 0), (-5, 3), (10**20, -10**20), (-10**20, 10**20)]:
+        for w, h in [(1, 1), (1, 6), (37, 1), (37, 5)]:
+            assert_same(written(write_label, scheme, x0, y0, w, h, fmt),
+                        written(reference_write_label, scheme, x0, y0, w, h, fmt),
+                        (x0, y0, w, h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(-2**70, 2**70),
+    b=st.integers(-2**70, 2**70),
+    c=st.integers(1, 50) | st.integers(1, 2**70),
+    x0=st.integers(-10**20, 10**20),
+    y0=st.integers(-10**20, 10**20),
+    w=st.integers(1, 40),
+    h=st.integers(1, 6),
+    fmt=st.sampled_from(LABEL_FORMATS),
+)
+def test_write_label_rows_match_label_window_fuzz(a, b, c, x0, y0, w, h, fmt):
+    s = hand_built(a, b, c)
+    assert_same(written(write_label, s, x0, y0, w, h, fmt),
+                written(reference_write_label, s, x0, y0, w, h, fmt))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
 def test_write_bounds_matches_reference(fmt):
-    for k_min, k_max in [(1, 2000), (2, 2), (7, 7), (1990, 2000)]:
+    for k_min, k_max in [(1, 2000), (2, 2), (7, 7), (1990, 2000),
+                         (10**12 - 3, 10**12 + 3)]:
         assert_same(written(write_bounds, k_min, k_max, fmt),
                     reference_render_bounds(bounds_table(k_min, k_max), fmt),
                     (k_min, k_max))
+
+
+def test_bounds_decimal_is_the_ratio_double():
+    # int / int rounds correctly, so the unreduced quotient the writer
+    # formats is the double of the reduced Fraction.
+    for r in bounds_records(1, 10**5):
+        if r.ratio is not None:
+            assert r.upper / r.lower == float(r.ratio), r.k
 
 
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)
@@ -485,20 +572,35 @@ class CountingSink:
         self.chars += len(text)
 
 
-def test_bounds_csv_streams_records(monkeypatch):
-    # Holding the records (two Fractions each) takes about 410 bytes per
-    # row, 2 MB here. 5000 rows, not more: tracing every Fraction
-    # allocation makes the run about nine times slower.
+def bounds_peak(monkeypatch, fmt):
+    """Characters written and peak traced memory of bounds for k <= 5000."""
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
         code = main(["bounds", "--k-min", "1", "--k-max", "5000",
-                     "--format", "csv"])
+                     "--format", fmt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.chars > 2 * 10**5
+    assert code == 0
+    return sink.chars, peak
+
+
+def test_bounds_csv_streams_records(monkeypatch):
+    # Holding the records (two Fractions each) takes about 410 bytes per
+    # row, 2 MB here. 5000 rows, not more: tracing every Fraction
+    # allocation makes the run about nine times slower.
+    chars, peak = bounds_peak(monkeypatch, "csv")
+    assert chars > 2 * 10**5
+    assert peak < 2**20, peak
+
+
+def test_bounds_ascii_streams_records(monkeypatch):
+    # Column widths come from a first pass over the records, so no row is
+    # held: holding them took about 2.5 MB here.
+    chars, peak = bounds_peak(monkeypatch, "ascii")
+    assert chars > 3 * 10**5
     assert peak < 2**20, peak
 
 
@@ -595,6 +697,64 @@ def test_search_huge_k_returns_quickly():
     assert elapsed < 10, elapsed
 
 
+# --------------------------------------------------------- without numpy
+
+# Runs main on each argv in the JSON list argv[2] and prints every exit
+# code, stdout and stderr as JSON. With argv[1] == "block", numpy cannot
+# be imported: sys.modules maps it to None, so an import raises.
+RUN_MAIN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+else:
+    import numpy
+from gridlabel.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+NUMPY_FREE_ARGV = [
+    *(["label", "--k", "9190", "--window=-7,-3,5,4", "--format", fmt]
+      for fmt in LABEL_FORMATS),
+    *(["bounds", "--k-min", "1", "--k-max", "40", "--format", fmt]
+      for fmt in ("csv", "json", "ascii")),
+    ["search", "--rows", "2", "--cols", "3", "--k", "3", "--format", "json"],
+    ["label", "--k", "2"],
+    ["--help"],
+]
+
+
+def run_python(*args):
+    env = dict(os.environ, COLUMNS="80",  # argparse wraps --help to it
+               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_commands_without_numpy_match_commands_with_it():
+    argv = json.dumps(NUMPY_FREE_ARGV)
+    blocked = json.loads(run_python("-c", RUN_MAIN, "block", argv))
+    loaded = json.loads(run_python("-c", RUN_MAIN, "load", argv))
+    assert [code for code, _, _ in loaded] == [0] * 8 + [2, 0]
+    for args, got, want in zip(NUMPY_FREE_ARGV, blocked, loaded):
+        assert got == want, args
+
+
+def test_importing_gridlabel_leaves_numpy_unloaded():
+    assert run_python("-c", "import sys, gridlabel, gridlabel.cli; "
+                            "print('numpy' in sys.modules)") == "False\n"
+
+
 # ------------------------------------------------------------ arguments
 
 FORMATS = st.sampled_from(["ascii", "csv", "json", "pgm"])
@@ -651,7 +811,7 @@ def test_writers_reject_an_unknown_format_first(monkeypatch, writer, args):
         raise AssertionError("work started before the format was checked")
 
     for name in ("check_diamond", "check_window", "check_no_hole",
-                 "exact_span", "label_window", "bounds_records"):
+                 "exact_span", "label", "bounds_records"):
         monkeypatch.setattr(cli, name, no_work)
     out = Chunks()
     with pytest.raises(ValueError, match="unknown format"):
