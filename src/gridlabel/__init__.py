@@ -31,6 +31,7 @@ from .scheme import (
     UnsupportedK,
     label,
     label_many,
+    label_rows,
     label_window,
     lambda_ub,
     scheme_params,
@@ -57,6 +58,7 @@ from .verifier import (
     check_window,
     gcd_ab,
     label_difference,
+    window_pairs,
 )
 
 __version__ = "0.1.0"
@@ -64,12 +66,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Vertex", "sphere", "ball", "t_set",
     "LabelingScheme", "UnsupportedK", "scheme_params", "label",
-    "label_many", "label_window", "lambda_ub",
+    "label_many", "label_rows", "label_window", "lambda_ub",
     "PARITY_CASES", "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P",
     "EVEN_K_EVEN_P",
     "ViolationReport", "VerificationVerdict", "NoHoleReport",
     "BudgetExceeded", "label_difference",
-    "check_diamond", "check_window", "check_no_hole", "gcd_ab",
+    "check_diamond", "check_window", "window_pairs", "check_no_hole", "gcd_ab",
     "GCD_AB_ALLOWED",
     "LowerBound", "BoundsRecord", "lambda_lb", "lb_summation",
     "triangular_convolution", "ratio", "bounds_table", "EVEN_K", "ODD_K",

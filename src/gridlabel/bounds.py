@@ -74,9 +74,11 @@ def lb_summation(p: int, parity: str) -> Fraction:
     The chain over the sorted labels of the radius-p ball gives a spread
     of at least 4*(sum_{m=1..p} m(p+1-m) + sum_{m=1..p-1} m(p-m)) plus a
     minimal boundary contribution of 1; adding 1 converts spread to a
-    label count. For odd k the closed form adds (2/3)(2p^2+2p) on top,
-    its exact parity difference, which is what this recomputation
-    applies. Must agree with lambda_lb for every p >= 1.
+    label count. That is the even-k closed form, recomputed. For odd k
+    this adds (2/3)(2p^2+2p), the paper's difference between its two
+    closed forms, taken as given: the odd result agrees with lambda_lb by
+    construction and is no cross-check. (The same chain at k = 2p+1 gives
+    (2/3)p(p+1) more than lambda_lb, a valid but unpublished bound.)
     """
     if p < 1:
         raise ValueError("p must be >= 1")

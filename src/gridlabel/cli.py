@@ -14,15 +14,18 @@ and only label and bounds splice a streamed list into it. Every writer
 raises ValueError for an unknown format before it checks or writes
 anything.
 
-label fills its rows from exact Python integers, one label call per
-window, and bounds and search need no arrays, so those commands never
-import numpy; verify and nohole's enumeration import it through the
-verifier when their first check runs.
+The writers only format: labels come from scheme.label_rows, checks
+and bounds from the verifier and bounds modules. label_rows, bounds and
+search need no arrays, so label, bounds and search never import numpy;
+verify and nohole's enumeration import it through the verifier when
+their first check runs.
 
 Exit codes are a stable contract: 0 = success / all checks passed,
-1 = a property violation was found, 2 = usage error, unsupported k,
-output over MAX_OUTPUT_ROWS (window cells or bounds rows), a diamond
-over MAX_DIAMOND_OFFSETS, or exceeded budget.
+1 = a property violation was found, 2 = usage error, unsupported k, or
+a request over a budget (verifier.BudgetExceeded, raised before any
+work): window cells or bounds rows over MAX_OUTPUT_ROWS, a diamond over
+MAX_DIAMOND_OFFSETS, a window check over verifier.window_pair_budget
+pairs, or a no-hole enumeration over its pair budget.
 
 CSV output is RFC-4180-style with a mandatory header row and LF line
 endings. PGM output is plain P2 with maxval c-1 (a visualization aid,
@@ -40,7 +43,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from .bounds import bounds_records
-from .scheme import LabelingScheme, UnsupportedK, label, scheme_params
+from .scheme import LabelingScheme, UnsupportedK, label_rows, scheme_params
 from .search import DEFAULT_NODE_BUDGET, Patch, exact_span
 from .verifier import (
     DEFAULT_MAX_VIOLATIONS,
@@ -50,10 +53,14 @@ from .verifier import (
     check_diamond,
     check_no_hole,
     check_window,
+    window_pair_budget,
+    window_pairs,
 )
 
 MAX_OUTPUT_ROWS = 1_000_000
-#: 2k(k+1) offsets at k = 9189, the last k on the int64 label path.
+#: 2k(k+1) offsets at k = 9189, the last k on the int64 label path. Like
+#: every budget here it is checked before any labelling, and a request
+#: over it raises BudgetExceeded.
 MAX_DIAMOND_OFFSETS = 2 * 9189 * 9190
 
 _FORMAT = {"choices": ["ascii", "csv", "json"], "default": "ascii"}
@@ -61,14 +68,9 @@ _LABEL_FORMATS = ["ascii", "csv", "json", "pgm"]
 _Y = "\0"  # stands for y in a label row template; no number contains it
 
 
-class OutputTooLarge(ValueError):
-    """A request over a size budget: more window cells or bounds rows than
-    MAX_OUTPUT_ROWS, or more diamond offsets than MAX_DIAMOND_OFFSETS."""
-
-
 def _check_size(what: str, count: int, unit: str, budget: int) -> None:
     if count > budget:
-        raise OutputTooLarge(f"{what} has {count} {unit}; the budget is {budget}")
+        raise BudgetExceeded(what, count, unit, budget)
 
 
 def _check_format(fmt: str, choices: list[str] = _FORMAT["choices"]) -> None:
@@ -133,27 +135,19 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
                 height: int, fmt: str) -> int:
     """Write the label grid to out one row at a time; returns 0.
 
-    Labels are exact Python integers in arithmetic progressions:
-    L(x0 + j, y) = (L(x0, y) + a*j) mod c along a row, and L(x0, y) steps
-    by +-b mod c from row to row, so the grid needs one label call and no
-    arrays. Raises OutputTooLarge above the cell budget, before writing
-    anything.
+    Each row is a %-template filled from scheme.label_rows. Raises
+    BudgetExceeded above the cell budget, before writing anything.
     """
     _check_format(fmt, _LABEL_FORMATS)
     _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
-    c = scheme.c
-    steps = [scheme.a * j for j in range(width)]
     xs = range(x0, x0 + width)
     up = range(y0, y0 + height)
     down = range(y0 + height - 1, y0 - 1, -1)  # matrix orientation: top row = max y
 
     def rows(ys, template):
         # template has x baked in, _Y for y and %d for each label.
-        first, step = label(scheme, (x0, ys[0])), ys.step * scheme.b
-        for y in ys:
-            yield template.replace(_Y, str(y)) % tuple([(first + s) % c
-                                                        for s in steps])
-            first = (first + step) % c
+        return (template.replace(_Y, str(y)) % tuple(labels)
+                for y, labels in zip(ys, label_rows(scheme, x0, width, ys)))
 
     if fmt == "csv":
         template = "".join(f"{x},{_Y},%d\n" for x in xs)
@@ -181,8 +175,9 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
     exit code, 0 when every check passed and 1 otherwise.
 
     The window check covers [x0, x0 + width) x [y0, y0 + height). Reports
-    name the origin only when it is not 0,0. Raises OutputTooLarge for a
-    diamond or window over its budget, before checking or writing anything.
+    name the origin only when it is not 0,0. Raises BudgetExceeded for a
+    diamond, window or window check over its budget, before checking or
+    writing anything.
     """
     _check_format(fmt)
     diamond, window = mode in ("diamond", "both"), mode in ("window", "both")
@@ -191,6 +186,8 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
                     MAX_DIAMOND_OFFSETS)
     if window:
         _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
+        _check_size("window check", window_pairs(scheme.k, width, height),
+                    "pairs", window_pair_budget(scheme))
     checks: dict[str, VerificationVerdict] = {}  # reports keep this order
     if diamond:
         checks["diamond"] = check_diamond(scheme, max_violations)
@@ -247,7 +244,7 @@ def write_bounds(out, k_min: int, k_max: int, fmt: str) -> int:
 
     Every format makes each record as it writes it. ascii reads the
     records twice, first for its column widths, which depend on all of
-    them, then to write the rows. Raises OutputTooLarge above the row
+    them, then to write the rows. Raises BudgetExceeded above the row
     budget, before writing anything.
     """
     _check_format(fmt)
@@ -398,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                                 args.pair_budget, args.format)
         return write_search(out, args.rows, args.cols, args.k, args.node_budget,
                             args.format)
-    except (ValueError, BudgetExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

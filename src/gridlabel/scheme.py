@@ -15,14 +15,13 @@ remainder keeps every label inside [0, c), negative coordinates included.
 k = 2 is the single unsupported value: the even-k/odd-p case starts at
 p = 3, so no case covers p = 1.
 
-Scalar evaluation uses Python integers, hence stays exact at any
-magnitude, and needs no numpy: numpy is imported by the vectorized
-helpers (label_many, label_window) when they first run, not by importing
-this module. The vectorized helpers reduce coordinates mod c and work in
-int64 when the largest intermediate, (a mod c + b mod c)*(c-1), fits;
-that holds for every k <= 9189. Past that they evaluate one exact
-object-array (Python-integer) expression. Schemes are immutable and all
-functions are pure.
+Scalar evaluation (label, and label_rows for the rows of a window) uses
+Python integers, hence stays exact at any magnitude, and needs no numpy,
+which the vectorized helpers (label_many, label_window) import when they
+first run. They reduce coordinates mod c and work in int64 when the
+largest intermediate, (a mod c + b mod c)*(c-1), fits; that holds for
+every k <= 9189. Past that they evaluate one exact object-array
+(Python-integer) expression. Schemes are immutable; functions are pure.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,6 +122,21 @@ def label(scheme: LabelingScheme, v) -> int:
     """Label of vertex v = (x, y); always in [0, c)."""
     x, y = v
     return (scheme.a * x + scheme.b * y) % scheme.c
+
+
+def label_rows(scheme: LabelingScheme, x0: int, width: int,
+               ys: range) -> Iterator[list[int]]:
+    """Exact labels of x0, ..., x0+width-1 for each y of ys, one list per row.
+
+    Row y is the progression (L(x0, y) + a*j) mod c, made as it is read,
+    with no numpy. An empty window raises ValueError, as in label_window.
+    """
+    if width < 1 or not ys:
+        raise ValueError("window must have positive dimensions")
+    a, b, c = scheme.a, scheme.b, scheme.c
+    steps = [a * j for j in range(width)]
+    return ([(first + s) % c for s in steps]
+            for y in ys for first in [(a * x0 + b * y) % c])
 
 
 def lambda_ub(k: int) -> int:

@@ -27,7 +27,10 @@ two can cross-validate each other. Rectangles embed isometrically in the
 grid, so in-window distances need no boundary correction. An int64 label
 grid is first cast to int16 or int32 when that type holds +-c, so every
 difference fits; each offset costs one smallest-gap test, and the
-violating pairs are only located when that test fails.
+violating pairs are only located when that test fails. ``window_pairs``
+counts the pairs it compares without labelling anything, and
+``window_pair_budget`` gives the most a caller should let it compare, so
+callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
@@ -52,6 +55,7 @@ from .scheme import (
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
     LabelingScheme,
+    _int64_safe,
     label,
     label_window,
     scheme_params,
@@ -62,6 +66,15 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
+#: Pairs a window check should compare, counted by window_pairs.
+#: Int64-path labels compare up to 1.3 G pairs/s on square windows: a
+#: 1000x1000 window at k = 50 (2.5e9 pairs) takes about 2 s. Thin windows
+#: compare fewer pairs per slice and run slower: 3e9 pairs at k = 9189
+#: took about 11 s on 25000x4 and 18 s on 4x25000. Python-integer labels
+#: (k > 9189) compare about 10 M pairs/s and get the smaller budget: about
+#: 5 s, and still the whole default 100x100 window (49 995 000 pairs).
+MAX_WINDOW_PAIRS = 3 * 10**9
+MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
 #: Cells per block of the diamond check and of the no-hole enumeration.
 BLOCK_CELLS = 1 << 18
 
@@ -74,15 +87,13 @@ GCD_AB_ALLOWED = {
 }
 
 
-class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed its configured evaluation budget."""
+class BudgetExceeded(ValueError):
+    """A request over one of its budgets, refused before any work starts."""
 
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, what: str, needed: int, unit: str, budget: int):
         self.needed = needed
         self.budget = budget
-        super().__init__(
-            f"no-hole enumeration needs {needed} evaluations, budget is {budget}"
-        )
+        super().__init__(f"{what} needs {needed} {unit}, budget is {budget}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +182,29 @@ def check_diamond(scheme: LabelingScheme,
     )
 
 
+def window_pairs(k: int, width: int, height: int) -> int:
+    """Unordered pairs of a width x height rectangle at distance 1..k.
+
+    This is the number of pairs check_window compares, in
+    O(min(k, width)): for dx >= 1 each column offset reaches
+    m = min(k - dx, height - 1) rows up and down, which gives
+    (width - dx) * (height * (2m + 1) - m(m + 1)) pairs, and dx = 0
+    counts only the upward half.
+    """
+    m = min(k, height - 1)
+    total = width * (m * height - m * (m + 1) // 2)
+    for dx in range(1, min(k, width - 1) + 1):
+        m = min(k - dx, height - 1)
+        total += (width - dx) * (height * (2 * m + 1) - m * (m + 1))
+    return total
+
+
+def window_pair_budget(scheme: LabelingScheme) -> int:
+    """The most pairs a window check of scheme should compare: its label
+    path sets the speed, so Python-integer labels get the smaller budget."""
+    return MAX_WINDOW_PAIRS if _int64_safe(scheme) else MAX_OBJECT_WINDOW_PAIRS
+
+
 def check_window(scheme: LabelingScheme, width: int, height: int,
                  max_violations: int = DEFAULT_MAX_VIOLATIONS, *,
                  x0: int = 0, y0: int = 0) -> VerificationVerdict:
@@ -256,7 +290,8 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
         raise ValueError(f"unknown no-hole mode {mode!r}")
     needed = scheme.c * scheme.c
     if needed > pair_budget:
-        raise BudgetExceeded(needed, pair_budget)
+        raise BudgetExceeded("no-hole enumeration", needed, "evaluations",
+                             pair_budget)
     import numpy as np
 
     # Labels lie in [0, c), so histograms count them in O(c^2). The period

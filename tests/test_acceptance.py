@@ -35,7 +35,7 @@ from gridlabel import (
     t_set,
     triangular_convolution,
 )
-from gridlabel.bounds import EVEN_K, ODD_K
+from gridlabel.bounds import EVEN_K
 from gridlabel.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,7 +150,7 @@ def test_criterion_05_no_hole_everywhere():
 
 
 def test_criterion_06_lower_bound_values_and_summation():
-    with criterion(6, "closed-form lower bounds match the explicit sums"):
+    with criterion(6, "closed-form lower bounds match the sums and the ball chain"):
         expected = {1: Fraction(2), 2: Fraction(6), 3: Fraction(26, 3),
                     4: Fraction(22), 5: Fraction(30), 6: Fraction(58),
                     7: Fraction(74)}
@@ -161,8 +161,16 @@ def test_criterion_06_lower_bound_values_and_summation():
         assert lambda_lb(3).ceiled == 9
         for p in range(1, 1001):
             assert lb_summation(p, EVEN_K) == lambda_lb(2 * p).exact
-            assert lb_summation(p, ODD_K) == lambda_lb(2 * p + 1).exact
             assert triangular_convolution(p) == p * (p + 1) * (p + 2) // 6
+        # lb_summation's odd term is the closed form's own difference, so
+        # odd k is checked against the packing chain over the radius-p
+        # ball: pairwise distinct labels, consecutive gaps >= k+1-|u|-|v|.
+        for p in range(1, 101):
+            points = ball(p)
+            norm_sum = sum(abs(x) + abs(y) for x, y in points)
+            for k in (2 * p, 2 * p + 1):
+                chain = (len(points) - 1) * (k + 1) - 2 * norm_sum + 2
+                assert lambda_lb(k).exact <= chain, k
 
 
 def test_criterion_07_ratio_asymptotics():

@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridlabel
-from gridlabel import LabelingScheme, bounds_table, label, label_window, scheme_params
+from gridlabel import (BudgetExceeded, LabelingScheme, VerificationVerdict,
+                       bounds_table, label, label_rows, label_window,
+                       scheme_params, window_pairs)
 from gridlabel import cli
 from gridlabel.bounds import bounds_records
+from gridlabel.verifier import MAX_OBJECT_WINDOW_PAIRS, MAX_WINDOW_PAIRS
 from gridlabel.cli import (
-    _Y,
-    _envelope,
-    _stream,
-    _stream_json,
     main,
     write_bounds,
     write_label,
@@ -152,35 +151,6 @@ def reference_render_bounds(records, fmt):
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def reference_write_label(out, scheme, x0, y0, width, height, fmt):
-    """The streamed writer as it was when it labelled through label_window:
-    the same templates, filled from a numpy label grid."""
-    grid = label_window(scheme, x0, y0, width, height)
-    xs = range(x0, x0 + width)
-    up = range(height)
-    down = range(height - 1, -1, -1)
-
-    def rows(order, template):
-        return (template.replace(_Y, str(y0 + iy)) % tuple(grid[iy].tolist())
-                for iy in order)
-
-    if fmt == "csv":
-        template = "".join(f"{x},{_Y},%d\n" for x in xs)
-        _stream(out, "x,y,label\n", rows(up, template))
-    elif fmt == "ascii":
-        template = " ".join([f"%{len(str(scheme.c - 1))}d"] * width) + "\n"
-        _stream(out, "", rows(down, template))
-    elif fmt == "pgm":
-        _stream(out, f"P2\n{width} {height}\n{scheme.c - 1}\n",
-                rows(down, " ".join(["%d"] * width) + "\n"))
-    else:
-        template = ",\n".join(f"    [\n      {x},\n      {_Y},\n      %d\n    ]"
-                              for x in xs)
-        _stream_json(out, _envelope(scheme.k, scheme, window={
-            "x0": x0, "y0": y0, "width": width, "height": height}, cells=[]),
-            rows(up, template))
-
-
 LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
 
 
@@ -222,14 +192,32 @@ HAND_BUILT = [hand_built(29, 5, 12), hand_built(12, 12, 12), hand_built(-7, 5, 1
               hand_built(-(2**65), 2**67 + 1, 2**64 + 13), hand_built(5, 7, 1)]
 
 
+ORIGINS = [(0, 0), (-5, 3), (10**20, -10**20), (-10**20, 10**20)]
+SIZES = [(1, 1), (1, 6), (37, 1), (37, 5)]
+
+
+@pytest.mark.parametrize("scheme", HAND_BUILT, ids=lambda s: f"{s.a},{s.b},{s.c}")
+def test_label_rows_match_label_window(scheme):
+    # label_rows' integer progressions against the label_window grid, rows
+    # read upward and downward.
+    for x0, y0 in ORIGINS:
+        for w, h in SIZES:
+            grid = label_window(scheme, x0, y0, w, h).tolist()
+            up = range(y0, y0 + h)
+            assert list(label_rows(scheme, x0, w, up)) == grid, (x0, y0, w, h)
+            assert list(label_rows(scheme, x0, w, up[::-1])) == grid[::-1]
+    for width, ys in [(0, range(3)), (3, range(0))]:
+        with pytest.raises(ValueError, match="positive dimensions"):
+            label_rows(scheme, 0, width, ys)
+
+
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)
 @pytest.mark.parametrize("scheme", HAND_BUILT, ids=lambda s: f"{s.a},{s.b},{s.c}")
 def test_write_label_rows_match_label_window(scheme, fmt):
-    # The rows' integer progressions against the label_window grid.
-    for x0, y0 in [(0, 0), (-5, 3), (10**20, -10**20), (-10**20, 10**20)]:
-        for w, h in [(1, 1), (1, 6), (37, 1), (37, 5)]:
+    for x0, y0 in ORIGINS:
+        for w, h in SIZES:
             assert_same(written(write_label, scheme, x0, y0, w, h, fmt),
-                        written(reference_write_label, scheme, x0, y0, w, h, fmt),
+                        reference_render_label(scheme, x0, y0, w, h, fmt),
                         (x0, y0, w, h))
 
 
@@ -247,7 +235,7 @@ def test_write_label_rows_match_label_window(scheme, fmt):
 def test_write_label_rows_match_label_window_fuzz(a, b, c, x0, y0, w, h, fmt):
     s = hand_built(a, b, c)
     assert_same(written(write_label, s, x0, y0, w, h, fmt),
-                written(reference_write_label, s, x0, y0, w, h, fmt))
+                reference_render_label(s, x0, y0, w, h, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
@@ -394,7 +382,7 @@ def test_label_window_too_large(capsys):
     assert code == 2
     assert "cells" in err
     out = Chunks()
-    with pytest.raises(cli.OutputTooLarge):
+    with pytest.raises(BudgetExceeded):
         write_label(out, scheme_params(3), 0, 0, 1, cli.MAX_OUTPUT_ROWS + 1, "csv")
     assert out.chunks == []
 
@@ -477,7 +465,7 @@ def test_verify_shifted_window(capsys):
 
 def test_verify_window_too_large():
     out = Chunks()
-    with pytest.raises(cli.OutputTooLarge):
+    with pytest.raises(BudgetExceeded):
         write_verify(out, scheme_params(3), "window", 2000, 2000, "ascii")
     assert out.chunks == []
 
@@ -509,6 +497,37 @@ def test_verify_diamond_budget_is_inclusive(capsys, monkeypatch):
     # The window check alone has no diamond to bound.
     code, _, _ = run_cli(capsys, ["verify", "--k", "4", "--mode", "window"])
     assert code == 0
+
+
+def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
+                                                                monkeypatch):
+    # 1000x1000 at k = 300 is within the cell budget but has about 7.3e10
+    # pairs to compare; it must be refused before any label is computed.
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the window check ran")
+
+    def passing(scheme, width, height, *_args, **_kwargs):
+        return VerificationVerdict(True, window_pairs(scheme.k, width, height), ())
+
+    monkeypatch.setattr(cli, "check_window", no_work)
+    monkeypatch.setattr(cli, "label_rows", no_work)
+    for k, window in [(300, "0,0,1000,1000"), (9190, "0,0,101,100")]:
+        code, out, err = run_cli(capsys, ["verify", "--k", str(k), "--mode",
+                                          "window", "--window", window])
+        pairs = window_pairs(k, *map(int, window.split(",")[2:]))
+        budget = MAX_WINDOW_PAIRS if k < 9190 else MAX_OBJECT_WINDOW_PAIRS
+        assert (code, out) == (2, "")
+        assert err == (f"error: window check needs {pairs} pairs, "
+                       f"budget is {budget}\n")
+    # k = 50 on 1000x1000 (int16 labels, about 2 s) and the default window
+    # on Python-integer labels stay accepted.
+    monkeypatch.setattr(cli, "check_window", passing)
+    assert window_pairs(50, 1000, 1000) == 2_464_691_450 < MAX_WINDOW_PAIRS
+    assert window_pairs(9190, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
+    for k, window in [(50, "0,0,1000,1000"), (9190, "0,0,100,100")]:
+        code, out, _ = run_cli(capsys, ["verify", "--k", str(k), "--mode",
+                                        "window", "--window", window])
+        assert code == 0 and "PASS" in out
 
 
 # --------------------------------------------------------------- bounds
@@ -811,7 +830,7 @@ def test_writers_reject_an_unknown_format_first(monkeypatch, writer, args):
         raise AssertionError("work started before the format was checked")
 
     for name in ("check_diamond", "check_window", "check_no_hole",
-                 "exact_span", "label", "bounds_records"):
+                 "exact_span", "label_rows", "bounds_records"):
         monkeypatch.setattr(cli, name, no_work)
     out = Chunks()
     with pytest.raises(ValueError, match="unknown format"):

@@ -23,6 +23,7 @@ from gridlabel import (
     label_many,
     label_window,
     scheme_params,
+    window_pairs,
 )
 
 
@@ -294,6 +295,22 @@ def test_window_pair_count_when_k_spans_the_window():
     verdict = check_window(scheme_params(5001), 30, 30)
     assert verdict.passed
     assert verdict.checked_pairs == 900 * 899 // 2
+
+
+def offset_pair_count(k, width, height):
+    """Pairs at each offset (dx, dy) with dx > 0, or dx = 0 < dy, summed."""
+    return sum((width - dx) * (height - abs(dy))
+               for dx in range(min(k, width - 1) + 1)
+               for dy in range(-min(k - dx, height - 1), min(k - dx, height - 1) + 1)
+               if dx > 0 or dy > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 90), st.integers(1, 90))
+def test_window_pairs_sums_the_pairs_of_every_offset(k, width, height):
+    assert window_pairs(k, width, height) == offset_pair_count(k, width, height)
+    if width * height <= 40:
+        assert window_pairs(k, width, height) == brute_pair_count(k, width, height)
 
 
 def test_window_validates_dimensions():
