@@ -58,9 +58,10 @@ from .verifier import (
 )
 
 MAX_OUTPUT_ROWS = 1_000_000
-#: 2k(k+1) offsets at k = 9189, the last k on the int64 label path. Like
-#: every budget here it is checked before any labelling, and a request
-#: over it raises BudgetExceeded.
+#: 2k(k+1) offsets at k = 9189, a time budget: that diamond takes about
+#: 1 s on int64 labels, and the time grows as k^2. Like every budget here
+#: it is checked before any labelling, and a request over it raises
+#: BudgetExceeded.
 MAX_DIAMOND_OFFSETS = 2 * 9189 * 9190
 
 _FORMAT = {"choices": ["ascii", "csv", "json"], "default": "ascii"}

@@ -18,10 +18,13 @@ p = 3, so no case covers p = 1.
 Scalar evaluation (label, and label_rows for the rows of a window) uses
 Python integers, hence stays exact at any magnitude, and needs no numpy,
 which the vectorized helpers (label_many, label_window) import when they
-first run. They reduce coordinates mod c and work in int64 when the
-largest intermediate, (a mod c + b mod c)*(c-1), fits; that holds for
-every k <= 9189. Past that they evaluate one exact object-array
-(Python-integer) expression. Schemes are immutable; functions are pure.
+first run. label_many reduces coordinates mod c and works in int64 when
+its largest intermediate, (a mod c + b mod c)*(c-1), fits; that holds for
+every k <= 9189. Past that it evaluates one exact object-array
+(Python-integer) expression. label_window adds two exact axis label
+vectors from label_many and subtracts c where the sum reaches c, so its
+grid is int64 while 2(c-1) fits, for every k <= 2908167, and Python
+integers past that. Schemes are immutable; functions are pure.
 """
 
 from __future__ import annotations
@@ -215,17 +218,34 @@ def _axis(origin: int, n: int, c: int) -> np.ndarray:
     return np.arange(start, start + n, dtype=dtype)
 
 
+def _int64_window(scheme: LabelingScheme) -> bool:
+    # label_window adds two labels in [0, c) before its conditional
+    # subtract, so its largest intermediate is 2(c-1): true for c <= 2^62.
+    return 2 * (scheme.c - 1) <= _INT64_MAX
+
+
 def label_window(scheme: LabelingScheme, x0: int, y0: int,
                  width: int, height: int) -> np.ndarray:
     """Labels of the rectangle [x0, x0+width) x [y0, y0+height).
 
     Returned array is indexed [row, col] where row i holds y = y0 + i and
-    col j holds x = x0 + j.
+    col j holds x = x0 + j. By linearity the grid is X[j] + Y[i] less c
+    wherever that sum reaches c, with X[j] = L(x0+j, 0) and Y[i] = L(0, y0+i)
+    from label_many. It is int64 when 2(c-1) fits (_int64_window) and
+    Python integers (object dtype) otherwise. Raises ValueError for an
+    empty window or a modulus c < 1, since [0, c) is then empty.
     """
     import numpy as np
 
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c
-    return label_many(scheme, _axis(x0, width, c)[np.newaxis, :],
-                      _axis(y0, height, c)[:, np.newaxis])
+    if c < 1:
+        raise ValueError(f"modulus c must be >= 1, got {c}")
+    dtype = np.int64 if _int64_window(scheme) else object
+    x_labels = label_many(scheme, _axis(x0, width, c), 0)
+    y_labels = label_many(scheme, 0, _axis(y0, height, c))
+    grid = (x_labels.astype(dtype, copy=False)[np.newaxis, :]
+            + y_labels.astype(dtype, copy=False)[:, np.newaxis])
+    np.subtract(grid, c, out=grid, where=grid >= c)
+    return grid

@@ -12,8 +12,8 @@ the whole infinite grid: a clean diamond certifies the scheme, while a
 violating offset names a concrete offending pair (the origin plus that
 offset, since the origin's label is 0). The diamond is labelled in
 blocks of whole columns x, about BLOCK_CELLS cells each, by one
-``label_window`` call per block (int64 where the scheme allows it, exact
-Python integers otherwise), so memory stays O(BLOCK_CELLS + k) at any k.
+``label_window`` call per block (int64 for every k <= 2908167, exact
+Python integers past that), so memory stays O(BLOCK_CELLS + k) at any k.
 Each block is a rectangle only as tall as its tallest column, and each
 cell is compared with the gap k+1-|x|-|y| it requires. A cell outside
 the diamond requires a gap of at most 0, which no label misses when
@@ -55,7 +55,7 @@ from .scheme import (
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
     LabelingScheme,
-    _int64_safe,
+    _int64_window,
     label,
     label_window,
     scheme_params,
@@ -67,12 +67,14 @@ if TYPE_CHECKING:
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
 #: Pairs a window check should compare, counted by window_pairs.
-#: Int64-path labels compare up to 1.3 G pairs/s on square windows: a
-#: 1000x1000 window at k = 50 (2.5e9 pairs) takes about 2 s. Thin windows
-#: compare fewer pairs per slice and run slower: 3e9 pairs at k = 9189
-#: took about 11 s on 25000x4 and 18 s on 4x25000. Python-integer labels
-#: (k > 9189) compare about 10 M pairs/s and get the smaller budget: about
-#: 5 s, and still the whole default 100x100 window (49 995 000 pairs).
+#: Int64 label grids (k <= 2908167, scheme._int64_window) compare up to
+#: 1.3 G pairs/s on square windows: a 1000x1000 window at k = 50 (2.5e9
+#: pairs) takes about 2 s. Thin windows compare fewer pairs per slice and
+#: run slower: 3e9 pairs at k = 9189 took about 11 s on 25000x4 and 18 s
+#: on 4x25000, and at k = 10^6 about 6 s on 19000x4 and 12 s on 4x19000.
+#: Python-integer labels (k > 2908167) compare about 13 M pairs/s and get
+#: the smaller budget: about 4 s, and still the whole default 100x100
+#: window (49 995 000 pairs).
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
 #: Cells per block of the diamond check and of the no-hole enumeration.
@@ -144,13 +146,12 @@ def check_diamond(scheme: LabelingScheme,
 
     Only the first max_violations violating offsets, in lexicographic
     order, become reports; passed is False whenever any offset violates.
-    Raises ValueError for a modulus c < 1, whose labels can be negative.
+    Raises ValueError, from label_window, for a modulus c < 1, whose
+    labels can be negative.
     """
     import numpy as np
 
     _check_non_negative("max_violations", max_violations)
-    if scheme.c < 1:
-        raise ValueError(f"modulus c must be >= 1, got {scheme.c}")
     k = scheme.k
     violations: list[ViolationReport] = []
     failed = False
@@ -200,9 +201,10 @@ def window_pairs(k: int, width: int, height: int) -> int:
 
 
 def window_pair_budget(scheme: LabelingScheme) -> int:
-    """The most pairs a window check of scheme should compare: its label
-    path sets the speed, so Python-integer labels get the smaller budget."""
-    return MAX_WINDOW_PAIRS if _int64_safe(scheme) else MAX_OBJECT_WINDOW_PAIRS
+    """The most pairs a window check of scheme should compare: the dtype
+    of its label_window grid sets the speed, so Python-integer labels get
+    the smaller budget."""
+    return MAX_WINDOW_PAIRS if _int64_window(scheme) else MAX_OBJECT_WINDOW_PAIRS
 
 
 def check_window(scheme: LabelingScheme, width: int, height: int,
@@ -297,7 +299,7 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     # Labels lie in [0, c), so histograms count them in O(c^2). The period
     # is labelled in row blocks, so memory stays O(block + c) whatever the
     # budget. Blocks are int64: label_window only leaves int64 for
-    # c > 2^31, far past any c*c a budget could allow.
+    # c > 2^62, far past any c*c a budget could allow.
     c = scheme.c
     rows = max(1, BLOCK_CELLS // c)
     hits = np.zeros(c, dtype=np.int64)

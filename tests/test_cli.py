@@ -157,7 +157,7 @@ LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
 # ------------------------------------------------------ byte identity
 
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)
-@pytest.mark.parametrize("k", [1, 3, 4, 7, 9190])  # 9190 takes the object path
+@pytest.mark.parametrize("k", [1, 3, 4, 7, 9190])  # 9190: label_many's object path
 def test_write_label_matches_reference(k, fmt):
     s = scheme_params(k)
     for x0, y0 in [(0, 0), (-5, -7), (13, 4), (-3, 10**20)]:
@@ -487,7 +487,7 @@ def test_verify_huge_diamond_rejected_at_once():
 
 
 def test_verify_diamond_budget_is_inclusive(capsys, monkeypatch):
-    assert cli.MAX_DIAMOND_OFFSETS == 2 * 9189 * 9190  # every int64-path k
+    assert cli.MAX_DIAMOND_OFFSETS == 2 * 9189 * 9190  # about 1 s of diamond
     monkeypatch.setattr(cli, "MAX_DIAMOND_OFFSETS", 24)  # k = 3
     code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "diamond"])
     assert code == 0 and "diamond: PASS (24 pairs checked" in out
@@ -511,20 +511,24 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
 
     monkeypatch.setattr(cli, "check_window", no_work)
     monkeypatch.setattr(cli, "label_rows", no_work)
-    for k, window in [(300, "0,0,1000,1000"), (9190, "0,0,101,100")]:
+    # 2908168 is the first k whose label grid holds Python integers.
+    for k, window in [(300, "0,0,1000,1000"), (2908168, "0,0,101,100")]:
         code, out, err = run_cli(capsys, ["verify", "--k", str(k), "--mode",
                                           "window", "--window", window])
         pairs = window_pairs(k, *map(int, window.split(",")[2:]))
-        budget = MAX_WINDOW_PAIRS if k < 9190 else MAX_OBJECT_WINDOW_PAIRS
+        budget = MAX_WINDOW_PAIRS if k <= 2908167 else MAX_OBJECT_WINDOW_PAIRS
         assert (code, out) == (2, "")
         assert err == (f"error: window check needs {pairs} pairs, "
                        f"budget is {budget}\n")
-    # k = 50 on 1000x1000 (int16 labels, about 2 s) and the default window
-    # on Python-integer labels stay accepted.
+    # k = 50 on 1000x1000 (int16 labels, about 2 s), 101x100 on int64
+    # labels at k = 9190 and 2908167, and the default window on
+    # Python-integer labels stay accepted.
     monkeypatch.setattr(cli, "check_window", passing)
     assert window_pairs(50, 1000, 1000) == 2_464_691_450 < MAX_WINDOW_PAIRS
-    assert window_pairs(9190, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
-    for k, window in [(50, "0,0,1000,1000"), (9190, "0,0,100,100")]:
+    assert window_pairs(9190, 101, 100) == 50_999_950 > MAX_OBJECT_WINDOW_PAIRS
+    assert window_pairs(2908168, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
+    for k, window in [(50, "0,0,1000,1000"), (9190, "0,0,101,100"),
+                      (2908167, "0,0,101,100"), (2908168, "0,0,100,100")]:
         code, out, _ = run_cli(capsys, ["verify", "--k", str(k), "--mode",
                                         "window", "--window", window])
         assert code == 0 and "PASS" in out

@@ -179,16 +179,53 @@ def test_label_many_exact_at_path_boundary(k, dtype):
     assert assert_matches_scalar(s, xs, ys).dtype == dtype
 
 
+def assert_window_matches_scalar(s, x0, y0, width, height):
+    grid = label_window(s, x0, y0, width, height)
+    assert grid.tolist() == [[label(s, (x0 + i, y0 + j)) for i in range(width)]
+                             for j in range(height)]
+    # The grid sums two labels in [0, c) before subtracting c.
+    assert grid.dtype == (np.int64 if 2 * (s.c - 1) <= INT64_MAX else object)
+    return grid
+
+
+# (-2, -1) puts x = y = -1 in the window: with a = b = 1 or a = b = c-1
+# both axis labels reach c-1 there, and the sum its maximum 2(c-1).
+WINDOW_ORIGINS = [(INT64_MAX - 3, INT64_MIN), (INT64_MIN, INT64_MAX - 2),
+                  (-7, 5), (-2, -1), (10**30, -(10**30)), (-(10**30), 10**30)]
+
+
 @pytest.mark.parametrize("k, dtype", [(2253, np.int64), (2254, np.int64),
-                                      (9189, np.int64), (9190, object)])
+                                      (9189, np.int64), (9190, np.int64),
+                                      (2908167, np.int64), (2908168, object)])
 def test_label_window_exact_at_path_boundary(k, dtype):
     s = scheme_params(k)
-    for x0, y0 in [(INT64_MAX - 3, INT64_MIN), (INT64_MIN, INT64_MAX - 2),
-                   (-7, 5), (10**30, -(10**30))]:
-        grid = label_window(s, x0, y0, 6, 4)
-        assert grid.dtype == dtype
-        assert grid.tolist() == [[label(s, (x0 + i, y0 + j)) for i in range(6)]
-                                 for j in range(4)]
+    for x0, y0 in WINDOW_ORIGINS:
+        assert assert_window_matches_scalar(s, x0, y0, 6, 4).dtype == dtype
+
+
+@pytest.mark.parametrize("c, dtype", [(2**62, np.int64), (2**62 + 1, object)])
+def test_label_window_int64_guard_is_tight(c, dtype):
+    # 2(c-1) <= 2^63-1 exactly when c <= 2^62.
+    for a, b in [(1, 1), (c - 1, c - 1), (3**50, -(7**20))]:
+        for x0, y0 in WINDOW_ORIGINS:
+            grid = assert_window_matches_scalar(hand_built(a, b, c), x0, y0, 6, 4)
+            assert grid.dtype == dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(-2**72, 2**72), b=st.integers(-2**72, 2**72),
+       c=st.integers(1, 50) | st.integers(2**62 - 3, 2**62 + 3) | st.integers(1, 2**70),
+       x0=st.integers(-10**30, 10**30), y0=st.integers(-10**30, 10**30),
+       w=st.integers(1, 8), h=st.integers(1, 8))
+def test_label_window_matches_scalar(a, b, c, x0, y0, w, h):
+    assert_window_matches_scalar(hand_built(a, b, c), x0, y0, w, h)
+
+
+@pytest.mark.parametrize("c", [0, -7])
+def test_label_window_rejects_a_modulus_below_one(c):
+    # The conditional subtract needs axis labels in [0, c).
+    with pytest.raises(ValueError, match="modulus"):
+        label_window(hand_built(2, 5, c), -3, 4, 3, 2)
 
 
 def test_int64_guard_is_tight():
