@@ -45,16 +45,20 @@ class BoundsRecord:
 
 def lambda_lb(k: int) -> LowerBound:
     """Closed-form lower bound for k >= 1 (k = 2 included)."""
+    num = _lb_numerator(k)
+    return LowerBound(exact=Fraction(num, 3), ceiled=-(-num // 3))
+
+
+def _lb_numerator(k: int) -> int:
+    """3 * lambda_lb(k).exact, an integer."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     # (2/3) p (p+1) (2p+1 or 2p+3) + 2, as one fraction over 3.
     if k % 2 == 0:
         p = k // 2
-        num = 2 * p * (p + 1) * (2 * p + 1) + 6
-    else:
-        p = (k - 1) // 2
-        num = 2 * p * (p + 1) * (2 * p + 3) + 6
-    return LowerBound(exact=Fraction(num, 3), ceiled=-(-num // 3))
+        return 2 * p * (p + 1) * (2 * p + 1) + 6
+    p = (k - 1) // 2
+    return 2 * p * (p + 1) * (2 * p + 3) + 6
 
 
 def triangular_convolution(p: int) -> int:
@@ -113,12 +117,13 @@ def bounds_records(k_min: int, k_max: int) -> Iterator[BoundsRecord]:
 
 
 def _bounds_record(k: int) -> BoundsRecord:
-    lb = lambda_lb(k)
+    num = _lb_numerator(k)
+    exact, lower = Fraction(num, 3), -(-num // 3)
     try:
         ub = lambda_ub(k)
     except UnsupportedK:
-        return BoundsRecord(k, lb.exact, lb.ceiled, None, None)
-    return BoundsRecord(k, lb.exact, lb.ceiled, ub, Fraction(ub, lb.ceiled))
+        return BoundsRecord(k, exact, lower, None, None)
+    return BoundsRecord(k, exact, lower, ub, Fraction(ub, lower))
 
 
 def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:

@@ -86,39 +86,36 @@ def scheme_params(k: int) -> LabelingScheme:
     Raises UnsupportedK for k = 2 and ValueError for k < 1. The divisions
     by two in the modulus expressions are exact for every covered k.
     """
+    return LabelingScheme(k, *_coefficients(k))
+
+
+def _coefficients(k: int) -> tuple[int, str, int, int, int]:
+    """(p, parity_case, a, b, c) for k, the fields scheme_params fills."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k % 2 == 1:
         p = (k - 1) // 2
         if p % 2 == 1:
-            return LabelingScheme(
-                k, p, ODD_K_ODD_P,
+            return (p, ODD_K_ODD_P,
+                    2 * p + 3,
+                    3 * p * p + 7 * p + 5,
+                    _halved((p + 1) * (3 * p * p + 5 * p + 4)))
+        return (p, ODD_K_EVEN_P,
                 2 * p + 3,
-                3 * p * p + 7 * p + 5,
-                _halved((p + 1) * (3 * p * p + 5 * p + 4)),
-            )
-        return LabelingScheme(
-            k, p, ODD_K_EVEN_P,
-            2 * p + 3,
-            3 * p * p + 6 * p + 3,
-            _halved(3 * p**3 + 8 * p * p + 8 * p + 4),
-        )
+                3 * p * p + 6 * p + 3,
+                _halved(3 * p**3 + 8 * p * p + 8 * p + 4))
     p = k // 2
     if p % 2 == 1:
         if p < 3:
             raise UnsupportedK(k, "even k needs odd p >= 3, and k=2 gives p=1")
-        return LabelingScheme(
-            k, p, EVEN_K_ODD_P,
+        return (p, EVEN_K_ODD_P,
+                2 * p + 1,
+                3 * p * p + 4 * p + 2,
+                _halved(3 * p**3 + 5 * p * p + 5 * p + 1))
+    return (p, EVEN_K_EVEN_P,
             2 * p + 1,
-            3 * p * p + 4 * p + 2,
-            _halved(3 * p**3 + 5 * p * p + 5 * p + 1),
-        )
-    return LabelingScheme(
-        k, p, EVEN_K_EVEN_P,
-        2 * p + 1,
-        3 * p * p + 3 * p + 1,
-        _halved((p + 1) * (3 * p * p + 2 * p + 2)),
-    )
+            3 * p * p + 3 * p + 1,
+            _halved((p + 1) * (3 * p * p + 2 * p + 2)))
 
 
 def label(scheme: LabelingScheme, v) -> int:
@@ -144,7 +141,7 @@ def label_rows(scheme: LabelingScheme, x0: int, width: int,
 
 def lambda_ub(k: int) -> int:
     """Number of labels the scheme for k uses, i.e. its modulus c."""
-    return scheme_params(k).c
+    return _coefficients(k)[4]
 
 
 _INT64_MAX = 2**63 - 1
@@ -218,6 +215,11 @@ def _axis(origin: int, n: int, c: int) -> np.ndarray:
     return np.arange(start, start + n, dtype=dtype)
 
 
+def _check_modulus(c: int) -> None:
+    if c < 1:
+        raise ValueError(f"modulus c must be >= 1, got {c}")
+
+
 def _int64_window(scheme: LabelingScheme) -> bool:
     # label_window adds two labels in [0, c) before its conditional
     # subtract, so its largest intermediate is 2(c-1): true for c <= 2^62.
@@ -240,8 +242,7 @@ def label_window(scheme: LabelingScheme, x0: int, y0: int,
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c
-    if c < 1:
-        raise ValueError(f"modulus c must be >= 1, got {c}")
+    _check_modulus(c)
     dtype = np.int64 if _int64_window(scheme) else object
     x_labels = label_many(scheme, _axis(x0, width, c), 0)
     y_labels = label_many(scheme, 0, _axis(y0, height, c))

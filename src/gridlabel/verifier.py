@@ -26,8 +26,13 @@ differences. It is deliberately redundant with ``check_diamond`` so the
 two can cross-validate each other. Rectangles embed isometrically in the
 grid, so in-window distances need no boundary correction. An int64 label
 grid is first cast to int16 or int32 when that type holds +-c, so every
-difference fits; each offset costs one smallest-gap test, and the
-violating pairs are only located when that test fails. ``window_pairs``
+difference fits. For each column offset dx the grid's first and last
+width-dx columns are copied once into row-major buffers, so the two
+operands of every offset (dx, dy) are single contiguous runs whatever
+the window's shape. Each offset writes its absolute differences into a
+gap buffer and costs one smallest-gap test; the violating pairs are only
+located when that test fails. The three buffers are allocated once per
+call, each the size of the grid. ``window_pairs``
 counts the pairs it compares without labelling anything, and
 ``window_pair_budget`` gives the most a caller should let it compare, so
 callers can bound the work first.
@@ -55,6 +60,7 @@ from .scheme import (
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
     LabelingScheme,
+    _check_modulus,
     _int64_window,
     label,
     label_window,
@@ -68,10 +74,12 @@ DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
 #: Pairs a window check should compare, counted by window_pairs.
 #: Int64 label grids (k <= 2908167, scheme._int64_window) compare up to
-#: 1.3 G pairs/s on square windows: a 1000x1000 window at k = 50 (2.5e9
-#: pairs) takes about 2 s. Thin windows compare fewer pairs per slice and
-#: run slower: 3e9 pairs at k = 9189 took about 11 s on 25000x4 and 18 s
-#: on 4x25000, and at k = 10^6 about 6 s on 19000x4 and 12 s on 4x19000.
+#: 2.3 G pairs/s on square windows: a 1000x1000 window at k = 50 (2.5e9
+#: pairs) takes about 1 s end to end. Thin and tall windows run somewhat
+#: slower, since each column offset copies the grid: 3e9 pairs at
+#: k = 9189 took about 5 s on 25000x4 and 3.5 s on 4x25000, and at
+#: k = 10^6 about 4 s on 19000x4 and 3 s on 4x19000 (in process, on 2
+#: shared cores).
 #: Python-integer labels (k > 2908167) compare about 13 M pairs/s and get
 #: the smaller budget: about 4 s, and still the whole default 100x100
 #: window (49 995 000 pairs).
@@ -217,6 +225,13 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     the gap itself. A violating pair is reported under its witness
     offset, the difference vector taken larger-label-first, which makes
     window reports directly comparable with diamond reports.
+
+    Each column offset dx copies the grid's columns [0, width-dx) and
+    [dx, width) into two row-major buffers, so every (dx, dy) compares
+    one contiguous run of each, and writes the gaps into a third buffer.
+    Memory is the grid and these three buffers of its size, allocated
+    once per call; only a failing offset computes its signed differences
+    to tell its two orientations apart.
     """
     import numpy as np
 
@@ -225,25 +240,32 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     _check_non_negative("max_violations", max_violations)
     k = scheme.k
     grid = _narrowed(label_window(scheme, x0, y0, width, height), scheme.c)
+    left_buffer, right_buffer, gap_buffer = np.empty((3, grid.size),
+                                                     dtype=grid.dtype)
     reports: dict[tuple[int, int], ViolationReport] = {}
     pairs = 0
     for dx in range(0, min(k, width - 1) + 1):
+        cols = width - dx
+        left, right = left_buffer[: height * cols], right_buffer[: height * cols]
+        np.copyto(left.reshape(height, cols), grid[:, :cols])
+        np.copyto(right.reshape(height, cols), grid[:, dx:])
         reach = min(k - dx, height - 1)
         dy_values = range(1, reach + 1) if dx == 0 else range(-reach, reach + 1)
         for dy in dy_values:
+            n = (height - abs(dy)) * cols
             if dy >= 0:
-                base = grid[: height - dy, : width - dx]
-                shifted = grid[dy:, dx:]
+                base, shifted = left[:n], right[dy * cols:]
             else:
-                base = grid[-dy:, : width - dx]
-                shifted = grid[: height + dy, dx:]
-            pairs += base.size
-            diff = shifted - base
-            gap = np.abs(diff)
+                base, shifted = left[-dy * cols:], right[:n]
+            pairs += n
+            gap = gap_buffer[:n]
+            np.subtract(shifted, base, out=gap)
+            np.abs(gap, out=gap)
             r = dx + abs(dy)
             required = k + 1 - r
             if gap.min() >= required:
                 continue
+            diff = shifted - base
             mask = gap < required
             # All masked pairs with the larger label at the +offset end
             # share one gap value: the label of the offset itself. The
@@ -282,9 +304,11 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
                       labels; raises BudgetExceeded when c*c exceeds
                       pair_budget.
     mode "both":      run both routes and insist they agree.
-    A negative pair_budget raises ValueError in every mode.
+    A negative pair_budget or a modulus c < 1, whose labels would leave
+    [0, c), raises ValueError in every mode.
     """
     _check_non_negative("pair_budget", pair_budget)
+    _check_modulus(scheme.c)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
     if mode == "gcd":
         return NoHoleReport(is_no_hole=(g == 1), gcd_triple=g, attained_count=None)

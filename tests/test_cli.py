@@ -520,7 +520,7 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
         assert (code, out) == (2, "")
         assert err == (f"error: window check needs {pairs} pairs, "
                        f"budget is {budget}\n")
-    # k = 50 on 1000x1000 (int16 labels, about 2 s), 101x100 on int64
+    # k = 50 on 1000x1000 (int16 labels, about 1 s), 101x100 on int64
     # labels at k = 9190 and 2908167, and the default window on
     # Python-integer labels stay accepted.
     monkeypatch.setattr(cli, "check_window", passing)
@@ -532,6 +532,38 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
         code, out, _ = run_cli(capsys, ["verify", "--k", str(k), "--mode",
                                         "window", "--window", window])
         assert code == 0 and "PASS" in out
+
+
+def test_verify_window_pairs_budget_is_three_billion(monkeypatch):
+    # A 1-wide window at k = 3072 has exactly 3 * 10^9 pairs at 978099 rows
+    # and 3072 more per extra row. Neither check nor labelling may run.
+    def passing(scheme, width, height, *_args, **_kwargs):
+        return VerificationVerdict(True, window_pairs(scheme.k, width, height), ())
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a window was labelled")
+
+    monkeypatch.setattr(cli, "check_window", passing)
+    monkeypatch.setattr(gridlabel.verifier, "label_window", no_work)
+    s = scheme_params(3072)
+    assert window_pairs(3072, 1, 978099) == 3 * 10**9
+    for height in (978098, 978099):
+        assert written(write_verify, s, "window", 1, height, "ascii").endswith(
+            "overall: PASS\n")
+    with pytest.raises(BudgetExceeded) as info:
+        written(write_verify, s, "window", 1, 978100, "ascii")
+    assert (info.value.needed, info.value.budget) == (3 * 10**9 + 3072, 3 * 10**9)
+
+
+def test_verify_reports_sixteen_violations_by_default(capsys, monkeypatch):
+    # (x + y) mod 3 violates at most offsets of k = 5.
+    monkeypatch.setattr(cli, "scheme_params", lambda k: LabelingScheme(
+        k=5, p=2, parity_case="hand-built", a=1, b=1, c=3))
+    code, out, _ = run_cli(capsys, ["verify", "--k", "5", "--mode", "both",
+                                    "--window", "0,0,10,10", "--format", "csv"])
+    rows = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert code == 1
+    assert (rows.count("diamond"), rows.count("window")) == (16, 16)
 
 
 # --------------------------------------------------------------- bounds

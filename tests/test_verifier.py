@@ -1,6 +1,7 @@
 """Validity and no-hole audits, cross-checked against naive oracles."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -63,9 +64,9 @@ def mutant(k, a, b, c):
 
 # ------------------------------------------------- reference kernels
 #
-# The scalar diamond loop and the int64 window loop the array kernels
-# replaced. They are kept only here, as the reference the kernels must
-# match verdict for verdict.
+# The scalar diamond loop and the window loop over 2-D slices, one per
+# offset, that the array kernels replaced. They are kept only here, as the
+# reference the kernels must match verdict for verdict.
 
 def diamond_offsets(k):
     """All offsets (x, y) with 1 <= |x|+|y| <= k, lexicographic order."""
@@ -192,6 +193,14 @@ def test_diamond_violation_cap():
     assert len(verdict.violations) == 4
     verdict = check_diamond(mutant(5, 1, 1, 3), max_violations=0)
     assert not verdict.passed and verdict.violations == ()
+
+
+def test_checks_report_sixteen_violations_by_default():
+    s = mutant(5, 1, 1, 3)
+    assert len(check_diamond(s, 10**6).violations) > 16
+    assert len(check_window(s, 10, 10, 10**6).violations) > 16
+    assert len(check_diamond(s).violations) == 16
+    assert len(check_window(s, 10, 10).violations) == 16
 
 
 @pytest.mark.parametrize("check", [check_diamond,
@@ -413,6 +422,67 @@ def test_window_matches_reference_at_the_narrow_dtype_limits(c):
                         (k, a, b, c, x0, y0, cap)
 
 
+# Windows one cell wide or tall, thin and tall, and narrower or shorter
+# than k, which cut the per-dx row copies down to one or a few cells.
+WINDOW_SHAPES = [(1, 1), (1, 37), (37, 1), (4, 300), (300, 4), (2, 25), (25, 3)]
+SHAPE_SCHEMES = [
+    scheme_params(3), scheme_params(9), scheme_params(30),
+    mutant(5, 1, 1, 3), mutant(9, 2, 9, 40), mutant(7, 18, 151, 248),
+    mutant(5, 2**15 - 2, 1, 2**15 - 1), mutant(3, 1, 2**15 - 1, 2**15),
+    mutant(5, 2**31 - 2, 2**30, 2**31 - 1), mutant(3, 2**31 - 1, 1, 2**31),
+    OBJECT_PATH_SCHEMES[3],
+]
+
+
+@pytest.mark.parametrize("width, height", WINDOW_SHAPES)
+def test_window_matches_reference_on_every_shape(width, height):
+    assert not check_diamond(SHAPE_SCHEMES[5]).passed
+    assert label_window(OBJECT_PATH_SCHEMES[3], 0, 0, 2, 2).dtype == object
+    for s in SHAPE_SCHEMES:
+        for x0, y0 in [(0, 0), (-7, 13), (10**12, -3)]:
+            for cap in (0, 16, 10**6):
+                assert (check_window(s, width, height, cap, x0=x0, y0=y0)
+                        == reference_check_window(s, width, height, cap,
+                                                  x0=x0, y0=y0)), (s, x0, y0, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9), st.integers(1, 40), st.integers(1, 40),
+    st.one_of(st.tuples(st.integers(0, 300), st.integers(0, 300),
+                        st.integers(1, 300)),
+              st.sampled_from([None, (2**15 - 2, 1, 2**15 - 1),
+                               (1, 2**31 - 2, 2**31 - 1), (3, 2**31 + 1, 2**31)])),
+    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+    st.sampled_from([0, 1, 16, 10**6]),
+)
+def test_window_matches_reference_on_random_shapes(k, width, height, coeffs,
+                                                   x0, y0, cap):
+    # None draws the paper's scheme (k = 2 has none: its mutant stands in).
+    if coeffs is None:
+        s = scheme_params(k) if k != 2 else mutant(2, 2, 3, 7)
+    else:
+        s = mutant(k, *coeffs)
+    assert (check_window(s, width, height, cap, x0=x0, y0=y0)
+            == reference_check_window(s, width, height, cap, x0=x0, y0=y0))
+
+
+def test_tall_windows_check_as_fast_as_wide_ones():
+    # The same pairs on a 4-wide, 8000-tall window and on its transpose:
+    # each offset compares one contiguous run, so the shape barely matters.
+    # Slicing the 2-D grid per offset makes the tall one about 5x slower.
+    s = scheme_params(2001)
+    assert window_pairs(2001, 4, 8000) == window_pairs(2001, 8000, 4)
+    best = {}
+    for _ in range(3):
+        for shape in [(4, 8000), (8000, 4)]:
+            t0 = time.perf_counter()
+            assert check_window(s, *shape).passed
+            elapsed = time.perf_counter() - t0
+            best[shape] = min(best.get(shape, elapsed), elapsed)
+    assert best[4, 8000] <= 2 * best[8000, 4], best
+
+
 @pytest.mark.parametrize("c, dtype", [
     (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
 ])
@@ -476,6 +546,23 @@ def test_no_hole_budget():
 def test_no_hole_rejects_negative_pair_budget(mode):
     with pytest.raises(ValueError, match="pair_budget"):
         check_no_hole(scheme_params(3), mode, pair_budget=-5)
+
+
+@pytest.mark.parametrize("mode", ["gcd", "enumerate", "both"])
+@pytest.mark.parametrize("c", [0, -7])
+def test_no_hole_rejects_a_modulus_below_one(mode, c):
+    # gcd(2, 5, c) = 1 would call both moduli no-hole.
+    with pytest.raises(ValueError, match=f"^modulus c must be >= 1, got {c}$"):
+        check_no_hole(LabelingScheme(3, 1, "h", 2, 5, c), mode)
+
+
+def test_no_hole_default_budget_is_four_million_evaluations():
+    # c^2 = 4 * 10^6 is enumerated; c = 2001 needs 4 004 001 and is refused.
+    report = check_no_hole(mutant(3, 1, 1, 2000), "enumerate")
+    assert report.is_no_hole and report.attained_count == 2000
+    with pytest.raises(BudgetExceeded) as info:
+        check_no_hole(mutant(3, 1, 1, 2001), "enumerate")
+    assert (info.value.needed, info.value.budget) == (2001**2, 4_000_000)
 
 
 def test_no_hole_rejects_unknown_mode():
