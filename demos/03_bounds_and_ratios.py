@@ -1,8 +1,8 @@
 """Lower/upper bounds and the exact approximation ratio trend.
 
 The lower bound packs the radius-p ball; the upper bound is the scheme
-modulus. Their ratio exceeds 9/8 at small k (4/3 at k=3) and approaches
-9/8 from above as k grows.
+modulus. Their ratio is 1 at k=1 and exceeds 9/8 at every supported
+k >= 3 (4/3 at k=3), approaching 9/8 from above as k grows.
 """
 
 from fractions import Fraction

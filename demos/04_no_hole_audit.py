@@ -5,13 +5,15 @@ generated by gcd(a, b, c), so gcd == 1 decides the property instantly;
 enumerating one full c-by-c period confirms it independently.
 """
 
-from gridlabel import LabelingScheme, check_no_hole, gcd_ab, scheme_params
+import math
+
+from gridlabel import LabelingScheme, check_no_hole, scheme_params
 
 print("real schemes (gcd route cross-checked by enumeration):")
 for k in (1, 3, 4, 7, 9, 15, 21):
     s = scheme_params(k)
     rep = check_no_hole(s, "both")
-    print(f"   k={k:2d}: gcd(a,b)={gcd_ab(k)}  gcd(a,b,c)={rep.gcd_triple}  "
+    print(f"   k={k:2d}: gcd(a,b)={math.gcd(s.a, s.b)}  gcd(a,b,c)={rep.gcd_triple}  "
           f"attained {rep.attained_count}/{s.c}  -> "
           f"{'no-hole' if rep.is_no_hole else 'NOT no-hole'}")
 

@@ -3,10 +3,12 @@
 Iterative deepening with full pruning proves the minimum for desk-scale
 rectangles. Any finite patch needs at most as many labels as the
 infinite-grid scheme uses, which makes the search a sanity check on the
-constructive bound.
+constructive bound: a proven patch minimum is compared with lambda_ub(k)
+directly, and an unproven one (budget hit) or k = 2, where no scheme
+exists, gets no verdict.
 """
 
-from gridlabel import Patch, exact_span, patch_span_vs_bounds
+from gridlabel import Patch, UnsupportedK, exact_span, lambda_ub
 
 print("exact spans (all proven optimal):")
 for rows, cols, k in [(1, 1, 4), (3, 3, 1), (2, 2, 2), (2, 2, 3),
@@ -22,10 +24,17 @@ for y in range(3, -1, -1):
 
 print("\npatch vs infinite-grid bound:")
 for rows, cols, k in [(3, 3, 1), (2, 2, 3), (4, 4, 3), (3, 3, 2)]:
-    cmp = patch_span_vs_bounds(Patch(rows, cols), k)
-    ub = "-" if cmp.global_ub is None else cmp.global_ub
-    verdict = {True: "consistent", False: "INCONSISTENT", None: "n/a"}[cmp.consistent]
-    print(f"   {rows}x{cols} k={k}: patch {cmp.patch_lambda} <= grid {ub}: {verdict}")
+    res = exact_span(Patch(rows, cols), k)
+    try:
+        ub = lambda_ub(k)
+    except UnsupportedK:
+        ub = None
+    if ub is None or not res.exhausted:
+        verdict = "n/a"
+    else:
+        verdict = "consistent" if res.minimal_lambda <= ub else "INCONSISTENT"
+    print(f"   {rows}x{cols} k={k}: patch {res.minimal_lambda} <= grid "
+          f"{'-' if ub is None else ub}: {verdict}")
 
 print("\nk=2 has no scheme, so there is nothing to compare against (n/a);")
 print("the exact search itself still works for k=2, as shown above.")

@@ -40,11 +40,9 @@ from .search import (
     InvalidPatch,
     Patch,
     PatchSearchResult,
-    SpanBoundsComparison,
     clique_lower_bound,
     exact_span,
     greedy_certificate,
-    patch_span_vs_bounds,
     probe_feasible,
 )
 from .verifier import (
@@ -56,7 +54,6 @@ from .verifier import (
     check_diamond,
     check_no_hole,
     check_window,
-    gcd_ab,
     label_difference,
     window_pairs,
 )
@@ -71,11 +68,11 @@ __all__ = [
     "EVEN_K_EVEN_P",
     "ViolationReport", "VerificationVerdict", "NoHoleReport",
     "BudgetExceeded", "label_difference",
-    "check_diamond", "check_window", "window_pairs", "check_no_hole", "gcd_ab",
+    "check_diamond", "check_window", "window_pairs", "check_no_hole",
     "GCD_AB_ALLOWED",
     "LowerBound", "BoundsRecord", "lambda_lb", "lb_summation",
     "triangular_convolution", "ratio", "bounds_table", "EVEN_K", "ODD_K",
-    "Patch", "PatchSearchResult", "SpanBoundsComparison", "InvalidPatch",
-    "exact_span", "probe_feasible", "patch_span_vs_bounds",
+    "Patch", "PatchSearchResult", "InvalidPatch",
+    "exact_span", "probe_feasible",
     "clique_lower_bound", "greedy_certificate",
 ]

@@ -99,8 +99,8 @@ def lb_summation(p: int, parity: str) -> Fraction:
 def ratio(k: int) -> Fraction:
     """Exact upper/lower ratio, using the ceiled lower bound.
 
-    Tends to 9/8 as k grows but exceeds it at small k (4/3 at k = 3);
-    only the limit behaviour should be relied on.
+    1 at k = 1; at every supported k >= 3 it exceeds 9/8 (4/3 at k = 3)
+    and approaches 9/8 from above as k grows.
     """
     return Fraction(lambda_ub(k), lambda_lb(k).ceiled)
 

@@ -7,6 +7,10 @@ separation requirement against an already-labeled vertex. The search is
 independent of the modular schemes, so it serves as ground truth for
 them on desk-scale instances (at most 64 vertices).
 
+Every entry point takes one constraint list from ``_gap_constraints``,
+which first refuses k < 1 and patches over the vertex cap; ``exact_span``
+builds it once for the greedy start, the clique bound and every probe.
+
 Domains are bitmasks held in Python ints: a vertex's mask has one bit per
 label its earlier neighbours block, and the next candidate is found by a
 lowest-clear-bit jump rather than by re-checking every neighbour for
@@ -20,10 +24,12 @@ A single search is sequential; independent probes may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 MAX_VERTICES = 64
 DEFAULT_NODE_BUDGET = 10_000_000
+
+# Per vertex i: (j, gap) for every earlier vertex j within distance k.
+_Constraints = list[list[tuple[int, int]]]
 
 
 class InvalidPatch(ValueError):
@@ -58,17 +64,17 @@ class PatchSearchResult:
     exhausted: bool  # True iff optimality was proven within budget
 
 
-@dataclass(frozen=True)
-class SpanBoundsComparison:
-    patch_lambda: int
-    global_ub: Optional[int]
-    consistent: Optional[bool]
-
-
-def _gap_constraints(patch: Patch, k: int) -> list[list[tuple[int, int]]]:
-    # For vertex i: every earlier j within distance k, with the required gap.
+def _gap_constraints(patch: Patch, k: int) -> _Constraints:
+    # Refuse before any pair is looked at: the scan is quadratic in the patch.
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if patch.n_vertices > MAX_VERTICES:
+        raise InvalidPatch(
+            f"patch has {patch.n_vertices} vertices; exact search is limited "
+            f"to {MAX_VERTICES}"
+        )
     verts = patch.vertices()
-    cons: list[list[tuple[int, int]]] = []
+    cons: _Constraints = []
     for i, (xi, yi) in enumerate(verts):
         row = []
         for j in range(i):
@@ -85,16 +91,22 @@ def clique_lower_bound(patch: Patch, k: int) -> int:
 
     Such a ball is pairwise within distance k, so all its vertices need
     distinct labels; its size is a valid starting point for iterative
-    deepening.
+    deepening. Each ball is read from the gap constraints: its centre
+    plus every partner at distance <= floor(k/2), i.e. with a required
+    gap >= k + 1 - floor(k/2).
     """
-    m = k // 2
-    cells = patch.vertices()
-    best = 1
-    for cx, cy in cells:
-        size = sum(1 for x, y in cells if abs(x - cx) + abs(y - cy) <= m)
-        if size > best:
-            best = size
-    return best
+    return _clique(_gap_constraints(patch, k), k)
+
+
+def _clique(cons: _Constraints, k: int) -> int:
+    least_gap = k + 1 - k // 2
+    sizes = [1] * len(cons)
+    for i, row in enumerate(cons):
+        for j, gap in row:
+            if gap >= least_gap:
+                sizes[i] += 1
+                sizes[j] += 1
+    return max(sizes)
 
 
 def greedy_certificate(patch: Patch, k: int) -> dict[tuple[int, int], int]:
@@ -104,8 +116,12 @@ def greedy_certificate(patch: Patch, k: int) -> dict[tuple[int, int], int]:
     Sweeping those bands by lower end finds the smallest uncovered label
     in O(deg log deg) per vertex, whatever the size of the labels.
     """
+    return _greedy(patch, _gap_constraints(patch, k))
+
+
+def _greedy(patch: Patch, cons: _Constraints) -> dict[tuple[int, int], int]:
     labels: list[int] = []
-    for row in _gap_constraints(patch, k):
+    for row in cons:
         lab = 0
         for lo, end in sorted((labels[j] - gap + 1, labels[j] + gap) for j, gap in row):
             if lo > lab:
@@ -142,8 +158,7 @@ def probe_feasible(patch: Patch, k: int, lam: int,
     return _probe(patch, _gap_constraints(patch, k), lam, node_budget)
 
 
-def _probe(patch: Patch, cons: list[list[tuple[int, int]]], lam: int,
-           node_budget: int):
+def _probe(patch: Patch, cons: _Constraints, lam: int, node_budget: int):
     if lam < 1:
         return False, None, 0
     n = len(cons)
@@ -204,19 +219,12 @@ def exact_span(patch: Patch, k: int,
     falls back to the best known feasible count (greedy first-fit) with
     exhausted=False; its certificate is still valid.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    cons = _gap_constraints(patch, k)
     if node_budget < 1:
         raise ValueError("node budget must be positive")
-    if patch.n_vertices > MAX_VERTICES:
-        raise InvalidPatch(
-            f"patch has {patch.n_vertices} vertices; exact search is limited "
-            f"to {MAX_VERTICES}"
-        )
-    greedy = greedy_certificate(patch, k)
+    greedy = _greedy(patch, cons)
     greedy_lam = max(greedy.values()) + 1
-    cons = _gap_constraints(patch, k)
-    lam = clique_lower_bound(patch, k)
+    lam = _clique(cons, k)
     nodes_total = 0
     while lam < greedy_lam:
         feasible, cert, used = _probe(patch, cons, lam,
@@ -229,24 +237,3 @@ def exact_span(patch: Patch, k: int,
         lam += 1
     # Everything below the greedy count is proven infeasible.
     return PatchSearchResult(greedy_lam, greedy, nodes_total, True)
-
-
-def patch_span_vs_bounds(patch: Patch, k: int,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> SpanBoundsComparison:
-    """Exact patch result against the infinite-grid scheme size.
-
-    consistent is True/False only when the search proved optimality and a
-    scheme exists for k (a finite patch never needs more labels than the
-    whole grid uses); otherwise None.
-    """
-    from .scheme import UnsupportedK, lambda_ub
-
-    result = exact_span(patch, k, node_budget)
-    try:
-        ub: Optional[int] = lambda_ub(k)
-    except UnsupportedK:
-        ub = None
-    consistent = None
-    if result.exhausted and ub is not None:
-        consistent = result.minimal_lambda <= ub
-    return SpanBoundsComparison(result.minimal_lambda, ub, consistent)

@@ -64,7 +64,6 @@ from .scheme import (
     _int64_window,
     label,
     label_window,
-    scheme_params,
 )
 
 if TYPE_CHECKING:
@@ -224,7 +223,8 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     absolute label difference; no difference-vector shortcut is used for
     the gap itself. A violating pair is reported under its witness
     offset, the difference vector taken larger-label-first, which makes
-    window reports directly comparable with diamond reports.
+    window reports directly comparable with diamond reports, and with
+    the smallest gap observed in that orientation.
 
     Each column offset dx copies the grid's columns [0, width-dx) and
     [dx, width) into two row-major buffers, so every (dx, dy) compares
@@ -267,15 +267,11 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
                 continue
             diff = shifted - base
             mask = gap < required
-            # All masked pairs with the larger label at the +offset end
-            # share one gap value: the label of the offset itself. The
-            # reverse orientation shares the label of the negated offset.
-            if (mask & (diff >= 0)).any():
-                off = (dx, dy)
-                reports[off] = ViolationReport(off, r, required, label(scheme, off))
-            if (mask & (diff < 0)).any():
-                off = (-dx, -dy)
-                reports[off] = ViolationReport(off, r, required, label(scheme, off))
+            for off, side in (((dx, dy), diff >= 0), ((-dx, -dy), diff < 0)):
+                hit = mask & side
+                if hit.any():
+                    reports[off] = ViolationReport(off, r, required,
+                                                   int(gap[hit].min()))
     ordered = tuple(sorted(reports.values(), key=lambda rep: rep.offset))
     return VerificationVerdict(
         passed=not reports,
@@ -337,9 +333,3 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
             "gcd predicate and enumeration disagree; scheme arithmetic is broken"
         )
     return NoHoleReport(is_no_hole=surjective, gcd_triple=g, attained_count=count)
-
-
-def gcd_ab(k: int) -> int:
-    """gcd of the two linear coefficients of the scheme for k."""
-    s = scheme_params(k)
-    return math.gcd(s.a, s.b)

@@ -136,6 +136,13 @@ def test_ratio_values():
         ratio(2)
 
 
+def test_ratio_exceeds_nine_eighths_at_every_supported_k():
+    # The ratio approaches 9/8 from above; it never reaches it.
+    assert ratio(1) == 1
+    for k in range(3, 20_001):
+        assert ratio(k) > Fraction(9, 8), k
+
+
 def test_lower_never_exceeds_upper_up_to_1000():
     for rec in bounds_table(1, 1000):
         if rec.upper is not None:

@@ -782,6 +782,8 @@ NUMPY_FREE_ARGV = [
     *(["bounds", "--k-min", "1", "--k-max", "40", "--format", fmt]
       for fmt in ("csv", "json", "ascii")),
     ["search", "--rows", "2", "--cols", "3", "--k", "3", "--format", "json"],
+    *(["nohole", "--k", "41", "--mode", "gcd", "--format", fmt]
+      for fmt in ("ascii", "csv", "json")),
     ["label", "--k", "2"],
     ["--help"],
 ]
@@ -800,7 +802,7 @@ def test_commands_without_numpy_match_commands_with_it():
     argv = json.dumps(NUMPY_FREE_ARGV)
     blocked = json.loads(run_python("-c", RUN_MAIN, "block", argv))
     loaded = json.loads(run_python("-c", RUN_MAIN, "load", argv))
-    assert [code for code, _, _ in loaded] == [0] * 8 + [2, 0]
+    assert [code for code, _, _ in loaded] == [0] * 11 + [2, 0]
     for args, got, want in zip(NUMPY_FREE_ARGV, blocked, loaded):
         assert got == want, args
 

@@ -1,5 +1,6 @@
 """Exact patch search against brute-force enumeration oracles."""
 
+import time
 import tracemalloc
 from itertools import product
 
@@ -11,7 +12,6 @@ from gridlabel import (
     clique_lower_bound,
     exact_span,
     greedy_certificate,
-    patch_span_vs_bounds,
     probe_feasible,
 )
 from gridlabel.search import DEFAULT_NODE_BUDGET
@@ -72,6 +72,18 @@ def reference_greedy_certificate(patch, k):
         labels.append(lab)
     verts = patch.vertices()
     return {verts[i]: labels[i] for i in range(len(verts))}
+
+
+def reference_clique_lower_bound(patch, k):
+    """The ball scan by distance that the constraint-list bound replaced."""
+    m = k // 2
+    cells = patch.vertices()
+    best = 1
+    for cx, cy in cells:
+        size = sum(1 for x, y in cells if abs(x - cx) + abs(y - cy) <= m)
+        if size > best:
+            best = size
+    return best
 
 
 def reference_probe_feasible(patch, k, lam, node_budget=DEFAULT_NODE_BUDGET):
@@ -292,15 +304,43 @@ def test_invalid_patches():
         exact_span(Patch(2, 2), 2, node_budget=0)
 
 
-def test_span_vs_bounds_consistency():
-    cmp13 = patch_span_vs_bounds(Patch(3, 3), 1)
-    assert (cmp13.patch_lambda, cmp13.global_ub, cmp13.consistent) == (2, 2, True)
-    cmp23 = patch_span_vs_bounds(Patch(2, 2), 3)
-    assert cmp23.global_ub == 12 and cmp23.consistent is True
-    cmp44 = patch_span_vs_bounds(Patch(4, 4), 4)
-    assert cmp44.global_ub == 27
-    # 4x4 at k=4 exceeds the default node budget, so optimality is not
-    # proven and the comparison abstains rather than guessing.
-    assert cmp44.consistent in (None, True)
-    cmp_k2 = patch_span_vs_bounds(Patch(3, 3), 2)
-    assert cmp_k2.global_ub is None and cmp_k2.consistent is None
+
+# Every public entry point, called with a patch and k only.
+ENTRY_POINTS = {
+    "exact_span": exact_span,
+    "probe_feasible": lambda patch, k: probe_feasible(patch, k, 10),
+    "greedy_certificate": greedy_certificate,
+    "clique_lower_bound": clique_lower_bound,
+}
+each_entry_point = pytest.mark.parametrize("entry", ENTRY_POINTS.values(),
+                                           ids=ENTRY_POINTS)
+
+
+@each_entry_point
+@pytest.mark.parametrize("k", [0, -3])
+def test_every_entry_point_refuses_k_below_one(entry, k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        entry(Patch(2, 2), k)
+
+
+@each_entry_point
+def test_every_entry_point_refuses_patches_over_the_cap_at_once(entry):
+    with pytest.raises(InvalidPatch,
+                       match="81 vertices; exact search is limited to 64"):
+        entry(Patch(9, 9), 3)
+    start = time.perf_counter()
+    with pytest.raises(InvalidPatch, match="1000000 vertices"):
+        entry(Patch(1000, 1000), 4)
+    assert time.perf_counter() - start < 0.1
+
+
+# Every patch of at most 64 vertices.
+ALL_PATCHES = [Patch(rows, cols) for rows in range(1, 65)
+               for cols in range(1, 64 // rows + 1)]
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_clique_and_greedy_match_reference_on_every_patch(k):
+    for p in ALL_PATCHES:
+        assert clique_lower_bound(p, k) == reference_clique_lower_bound(p, k), p
+        assert greedy_certificate(p, k) == reference_greedy_certificate(p, k), p

@@ -18,7 +18,6 @@ from gridlabel import (
     check_diamond,
     check_no_hole,
     check_window,
-    gcd_ab,
     label,
     label_difference,
     label_many,
@@ -446,6 +445,24 @@ def test_window_matches_reference_on_every_shape(width, height):
                                                   x0=x0, y0=y0)), (s, x0, y0, cap)
 
 
+def test_window_reports_the_gaps_it_observed(monkeypatch):
+    # With label evaluation outside label_window refused, every reported
+    # gap comes from the window's own comparisons.
+    def refuse(*args):
+        raise AssertionError("check_window evaluated a label by itself")
+
+    schemes = (SHAPE_SCHEMES + list(perturbed_schemes([1] + list(range(3, 14))))
+               + OBJECT_PATH_SCHEMES)
+    expected = {(s, cap): reference_check_window(s, 20, 17, cap, x0=-7, y0=13)
+                for s in schemes for cap in (0, 16, 10**6)}
+    monkeypatch.setattr(verifier, "label", refuse)
+    failing = 0
+    for (s, cap), want in expected.items():
+        assert check_window(s, 20, 17, cap, x0=-7, y0=13) == want, (s, cap)
+        failing += not want.passed
+    assert failing >= 200, failing
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 9), st.integers(1, 40), st.integers(1, 40),
@@ -604,13 +621,11 @@ def test_gcd_and_enumeration_agree_for_small_k():
         assert report.attained_count == scheme_params(k).c
 
 
-# ------------------------------------------------------------- gcd_ab
+# ------------------------------------------------------------- gcd(a, b)
 
 def test_gcd_ab_examples():
-    assert gcd_ab(3) == 5
-    assert gcd_ab(7) == 1
-    assert gcd_ab(4) == 1
-    assert gcd_ab(1) == 3
+    schemes = [scheme_params(k) for k in (3, 7, 4, 1)]
+    assert [math.gcd(s.a, s.b) for s in schemes] == [5, 1, 1, 3]
 
 
 def test_gcd_ab_membership_up_to_500():
@@ -618,5 +633,5 @@ def test_gcd_ab_membership_up_to_500():
         if k == 2:
             continue
         s = scheme_params(k)
-        assert gcd_ab(k) in GCD_AB_ALLOWED[s.parity_case], k
+        assert math.gcd(s.a, s.b) in GCD_AB_ALLOWED[s.parity_case], k
         assert math.gcd(s.a, s.b, s.c) == 1
