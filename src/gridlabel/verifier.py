@@ -24,23 +24,21 @@ required gap is set to 0, needs excluding.
 finite rectangle, using nothing but label evaluation and absolute
 differences. It is deliberately redundant with ``check_diamond`` so the
 two can cross-validate each other. Rectangles embed isometrically in the
-grid, so in-window distances need no boundary correction. An int64 label
-grid is first cast to int16 or int32 when that type holds +-c, so every
-difference fits. For each column offset dx the grid's first and last
-width-dx columns are copied once into row-major buffers, so the two
-operands of every offset (dx, dy) are single contiguous runs whatever
-the window's shape. Each offset writes its absolute differences into a
-gap buffer and costs one smallest-gap test; the violating pairs are only
-located when that test fails. The three buffers are allocated once per
-call, each the size of the grid. ``window_pairs``
-counts the pairs it compares without labelling anything, and
-``window_pair_budget`` gives the most a caller should let it compare, so
-callers can bound the work first.
+grid, so in-window distances need no boundary correction. A wide window
+is checked as the tall window it transposes to, labelled once, in row
+bands, into the narrowest type holding c + k + 1. Each column offset
+compares bands of rows with their partner rows, padded with the sentinel
+-(k+1), one chunk of row offsets per numpy call, so memory stays near
+the narrow grid's size. ``window_pairs`` counts the pairs it compares
+without labelling anything, and ``window_pair_budget`` gives the most a
+caller should let it compare, so callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
-predicate decides it; enumeration of one full c-by-c period provides the
-independent confirmation.
+predicate decides it; enumeration of the c-by-c period, in row blocks of
+about BLOCK_CELLS cells, provides the independent confirmation. The
+enumeration stops after the first block that brings the attained count
+to c, which for the paper's schemes is the first block.
 
 All checks are pure; violation lists are reported in lexicographic
 offset order, capped at a configurable maximum. The array checks import
@@ -51,7 +49,7 @@ gcd route of ``check_no_hole`` needs none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from .scheme import (
@@ -72,20 +70,25 @@ if TYPE_CHECKING:
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 4_000_000
 #: Pairs a window check should compare, counted by window_pairs.
-#: Int64 label grids (k <= 2908167, scheme._int64_window) compare up to
-#: 2.3 G pairs/s on square windows: a 1000x1000 window at k = 50 (2.5e9
-#: pairs) takes about 1 s end to end. Thin and tall windows run somewhat
-#: slower, since each column offset copies the grid: 3e9 pairs at
-#: k = 9189 took about 5 s on 25000x4 and 3.5 s on 4x25000, and at
-#: k = 10^6 about 4 s on 19000x4 and 3 s on 4x19000 (in process, on 2
-#: shared cores).
-#: Python-integer labels (k > 2908167) compare about 13 M pairs/s and get
-#: the smaller budget: about 4 s, and still the whole default 100x100
-#: window (49 995 000 pairs).
+#: Int16 comparisons (c + k + 1 < 2^15, k <= 55) reach about 3.5 G
+#: pairs/s: a 1000x1000 window at k = 50 (2.5e9 pairs) takes about 0.7 s
+#: end to end. Thin windows of either orientation compare on int64 at
+#: about 1 G pairs/s: 3e9 pairs at k = 9189 take about 3 s on 4x25000
+#: and on 25000x4, and at k = 10^6 on 19000x4 and on 4x19000 (in
+#: process, on 2 shared cores).
+#: Schemes whose label_window grid holds Python integers (k > 2908167)
+#: get the smaller budget. Their comparisons still run on int64 up to
+#: k = 3664061, where c + k + 1 fits: the default 100x100 window takes
+#: about 0.1 s. Past that, Python integers compare about 11-13 M pairs/s:
+#: about 4 s, and still the whole default 100x100 window (49 995 000
+#: pairs).
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
-#: Cells per block of the diamond check and of the no-hole enumeration.
-BLOCK_CELLS = 1 << 18
+#: Cells per block of the diamond check and of the no-hole enumeration,
+#: per row band when check_window labels its window, and per gap chunk of
+#: its subtract/abs/min calls. Its bands of base rows hold 2*BLOCK_CELLS
+#: bytes: BLOCK_CELLS int16 labels, fewer wider ones.
+BLOCK_CELLS = 1 << 17
 
 #: Values gcd(a, b) can take in each parity case.
 GCD_AB_ALLOWED = {
@@ -158,6 +161,8 @@ def check_diamond(scheme: LabelingScheme,
     """
     import numpy as np
 
+    if scheme.k < 1:
+        raise ValueError("k must be a positive integer")
     _check_non_negative("max_violations", max_violations)
     k = scheme.k
     violations: list[ViolationReport] = []
@@ -197,8 +202,13 @@ def window_pairs(k: int, width: int, height: int) -> int:
     O(min(k, width)): for dx >= 1 each column offset reaches
     m = min(k - dx, height - 1) rows up and down, which gives
     (width - dx) * (height * (2m + 1) - m(m + 1)) pairs, and dx = 0
-    counts only the upward half.
+    counts only the upward half. Raises ValueError for k < 1 or an
+    empty window.
     """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if width < 1 or height < 1:
+        raise ValueError("window must have positive dimensions")
     m = min(k, height - 1)
     total = width * (m * height - m * (m + 1) // 2)
     for dx in range(1, min(k, width - 1) + 1):
@@ -222,72 +232,134 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     Every unordered in-window pair at distance <= k is compared by
     absolute label difference; no difference-vector shortcut is used for
     the gap itself. A violating pair is reported under its witness
-    offset, the difference vector taken larger-label-first, which makes
-    window reports directly comparable with diamond reports, and with
-    the smallest gap observed in that orientation.
+    offset, the difference vector taken larger-label-first (equal labels
+    take the offset with x > 0, or x = 0 and y > 0), which makes window
+    reports directly comparable with diamond reports, and with the
+    smallest gap observed in that orientation.
 
-    Each column offset dx copies the grid's columns [0, width-dx) and
-    [dx, width) into two row-major buffers, so every (dx, dy) compares
-    one contiguous run of each, and writes the gaps into a third buffer.
-    Memory is the grid and these three buffers of its size, allocated
-    once per call; only a failing offset computes its signed differences
-    to tell its two orientations apart.
+    A window wider than it is tall is checked as the tall window it
+    transposes to (a and b swapped), with reports mapped back. The window
+    is labelled once, in row bands, in the narrowest type holding
+    c + k + 1 (_window_grid). For each column offset dx, bands of
+    2 * BLOCK_CELLS bytes of base rows are copied into one buffer, and
+    their partner rows, reach = min(k - dx, height - 1) more on either
+    side, into another, rows outside the window holding the sentinel
+    -(k+1). Row i of a strided view of that buffer partners the band at
+    the i-th offset dy, so a chunk of offsets costs one subtract, abs and
+    smallest-gap call over BLOCK_CELLS cells. A sentinel is at least k+1
+    from every label, more than any offset requires, so it never fails.
+    Only an offset whose smallest gap fails computes its signed
+    differences to tell its two orientations apart. Raises ValueError
+    for k < 1 or an empty window.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
-    if width < 1 or height < 1:
-        raise ValueError("window must have positive dimensions")
+    pairs = window_pairs(scheme.k, width, height)
     _check_non_negative("max_violations", max_violations)
     k = scheme.k
-    grid = _narrowed(label_window(scheme, x0, y0, width, height), scheme.c)
-    left_buffer, right_buffer, gap_buffer = np.empty((3, grid.size),
-                                                     dtype=grid.dtype)
-    reports: dict[tuple[int, int], ViolationReport] = {}
-    pairs = 0
+    tall = height >= width
+    if not tall:
+        scheme = replace(scheme, a=scheme.b, b=scheme.a)
+        x0, y0, width, height = y0, x0, height, width
+    grid = _window_grid(scheme, x0, y0, width, height)
+    # Bands of 2 * BLOCK_CELLS bytes and gap chunks of BLOCK_CELLS cells:
+    # wider labels compare more offsets dy per call over fewer rows, which
+    # measured faster for int32 and int64 windows.
+    band_cells = max(2 * BLOCK_CELLS // grid.itemsize, width)
+    reach = min(k, height - 1)
+    base_buffer = np.empty(min(band_cells, grid.size), dtype=grid.dtype)
+    partner_buffer = np.empty(base_buffer.size + 2 * reach * width, dtype=grid.dtype)
+    gap_buffer = np.empty(min(max(BLOCK_CELLS, width), (2 * reach + 1) * grid.size),
+                          dtype=grid.dtype)
+    least = np.empty(2 * reach + 1, dtype=grid.dtype)
+    found: dict[tuple[int, int], ViolationReport] = {}
     for dx in range(0, min(k, width - 1) + 1):
         cols = width - dx
-        left, right = left_buffer[: height * cols], right_buffer[: height * cols]
-        np.copyto(left.reshape(height, cols), grid[:, :cols])
-        np.copyto(right.reshape(height, cols), grid[:, dx:])
         reach = min(k - dx, height - 1)
-        dy_values = range(1, reach + 1) if dx == 0 else range(-reach, reach + 1)
-        for dy in dy_values:
-            n = (height - abs(dy)) * cols
-            if dy >= 0:
-                base, shifted = left[:n], right[dy * cols:]
-            else:
-                base, shifted = left[-dy * cols:], right[:n]
-            pairs += n
-            gap = gap_buffer[:n]
-            np.subtract(shifted, base, out=gap)
-            np.abs(gap, out=gap)
-            r = dx + abs(dy)
-            required = k + 1 - r
-            if gap.min() >= required:
-                continue
-            diff = shifted - base
-            mask = gap < required
-            for off, side in (((dx, dy), diff >= 0), ((-dx, -dy), diff < 0)):
-                hit = mask & side
-                if hit.any():
-                    reports[off] = ViolationReport(off, r, required,
-                                                   int(gap[hit].min()))
-    ordered = tuple(sorted(reports.values(), key=lambda rep: rep.offset))
+        lo = 1 if dx == 0 else -reach
+        dys = np.arange(lo, reach + 1)
+        required = k + 1 - dx - np.abs(dys)
+        band = band_cells // cols
+        for r0 in range(0, height, band):
+            n = min(band, height - r0)
+            base = base_buffer[: n * cols]
+            np.copyto(base.reshape(n, cols), grid[r0:r0 + n, :cols])
+            # Partner row j is window row r0 + lo + j, or the sentinel.
+            span = n + reach - lo
+            partner = partner_buffer[: span * cols].reshape(span, cols)
+            top, bottom = max(0, r0 + lo), min(height, r0 + n + reach)
+            partner.fill(-(k + 1))
+            partner[top - r0 - lo: bottom - r0 - lo] = grid[top:bottom, dx:]
+            # Row i of shifted is the partner of the band at dy = lo + i.
+            shifted = as_strided(partner_buffer, (dys.size, n * cols),
+                                 (cols * grid.itemsize, grid.itemsize),
+                                 writeable=False)
+            # A chunk pays for up to chunk - 1 rows of sentinels per offset:
+            # less than a call costs on fixed-width labels, not on objects.
+            chunk = max(1, BLOCK_CELLS // (n * cols))
+            if grid.dtype == object:
+                chunk = 1
+            least.fill(k + 1)
+            for i in range(0, dys.size, chunk):
+                nd = min(chunk, dys.size - i)
+                # Only base rows with a partner in the window for some dy.
+                first = max(0, -(lo + i + nd - 1) - r0) * cols
+                last = min(n, height - (lo + i) - r0) * cols
+                if first >= last:
+                    continue
+                rows = shifted[i: i + nd, first:last]
+                gap = gap_buffer[: rows.size].reshape(rows.shape)
+                np.subtract(rows, base[first:last], out=gap)
+                np.abs(gap, out=gap)
+                np.minimum.reduce(gap, axis=1, out=least[i: i + nd])
+            for i in np.flatnonzero(least[: dys.size] < required).tolist():
+                dy = lo + i
+                _orient(found, (dx, dy) if tall else (dy, dx),
+                        shifted[i] - base, dx + abs(dy), int(required[i]))
+    ordered = tuple(sorted(found.values(), key=lambda rep: rep.offset))
     return VerificationVerdict(
-        passed=not reports,
+        passed=not found,
         checked_pairs=pairs,
         violations=ordered[:max_violations],
     )
 
 
-def _narrowed(grid: np.ndarray, c: int) -> np.ndarray:
-    """An int64 label grid in the narrowest signed type holding +-c."""
+def _orient(found: dict, offset: tuple[int, int], diff: np.ndarray,
+            r: int, required: int) -> None:
+    """Record the smallest gap below required on each side of offset.
+
+    diff holds the signed label differences of one comparison, partner
+    minus base, so its pairs with diff > 0 witness offset and those with
+    diff < 0 witness -offset. A zero gap goes to whichever of the two has
+    x > 0, or x = 0 and y > 0.
+    """
+    gap = abs(diff)
+    low = gap < required
+    ahead = diff >= 0 if offset > (0, 0) else diff > 0
+    for off, side in ((offset, ahead), ((-offset[0], -offset[1]), ~ahead)):
+        hit = low & side
+        if hit.any():
+            actual = int(gap[hit].min())
+            if off not in found or actual < found[off].actual:
+                found[off] = ViolationReport(off, r, required, actual)
+
+
+def _window_grid(scheme: LabelingScheme, x0: int, y0: int,
+                 width: int, height: int) -> np.ndarray:
+    """label_window's grid, labelled in bands of rows, in the narrowest
+    signed type holding c + k + 1, past the widest gap between a label
+    in [0, c) and the sentinel -(k+1); object (Python integers) when no
+    fixed-width type does."""
     import numpy as np
 
-    if grid.dtype == np.int64:
-        for dtype in (np.int16, np.int32):
-            if c <= np.iinfo(dtype).max:
-                return grid.astype(dtype)
+    dtype = next((t for t in (np.int16, np.int32, np.int64)
+                  if scheme.c + scheme.k + 1 <= np.iinfo(t).max), object)
+    grid = np.empty((height, width), dtype=dtype)
+    rows = max(1, BLOCK_CELLS // width)
+    for r0 in range(0, height, rows):
+        grid[r0:r0 + rows] = label_window(scheme, x0, y0 + r0, width,
+                                          min(rows, height - r0))
     return grid
 
 
@@ -296,9 +368,10 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     """Audit that every label in {0, ..., c-1} is attained.
 
     mode "gcd":       no-hole iff gcd(a, b, c) == 1 (subgroup argument).
-    mode "enumerate": evaluate one full c-by-c period and count distinct
-                      labels; raises BudgetExceeded when c*c exceeds
-                      pair_budget.
+    mode "enumerate": evaluate the c-by-c period in row blocks and count
+                      distinct labels, stopping after the first block
+                      that brings the count to c; raises BudgetExceeded
+                      when c*c exceeds pair_budget.
     mode "both":      run both routes and insist they agree.
     A negative pair_budget or a modulus c < 1, whose labels would leave
     [0, c), raises ValueError in every mode.
@@ -316,17 +389,19 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
                              pair_budget)
     import numpy as np
 
-    # Labels lie in [0, c), so histograms count them in O(c^2). The period
-    # is labelled in row blocks, so memory stays O(block + c) whatever the
-    # budget. Blocks are int64: label_window only leaves int64 for
-    # c > 2^62, far past any c*c a budget could allow.
+    # Labels lie in [0, c), so histograms count them in O(c^2) at most.
+    # The period is labelled in row blocks, so memory stays O(block + c)
+    # whatever the budget. Blocks are int64: label_window only leaves
+    # int64 for c > 2^62, far past any c*c a budget could allow.
     c = scheme.c
     rows = max(1, BLOCK_CELLS // c)
     hits = np.zeros(c, dtype=np.int64)
     for y0 in range(0, c, rows):
         block = label_window(scheme, 0, y0, c, min(rows, c - y0))
         hits += np.bincount(block.ravel(), minlength=c)
-    count = int(np.count_nonzero(hits))
+        count = int(np.count_nonzero(hits))
+        if count == c:
+            break
     surjective = count == scheme.c
     if mode == "both" and surjective != (g == 1):
         raise AssertionError(

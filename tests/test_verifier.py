@@ -326,6 +326,31 @@ def test_window_validates_dimensions():
         check_window(scheme_params(3), 0, 10)
 
 
+@pytest.mark.parametrize("size", [0, -2])
+def test_window_pairs_refuses_an_empty_window(size):
+    for width, height in [(size, 5), (5, size), (size, size)]:
+        with pytest.raises(ValueError, match="^window must have positive dimensions$"):
+            window_pairs(3, width, height)
+        with pytest.raises(ValueError, match="^window must have positive dimensions$"):
+            check_window(scheme_params(3), width, height)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_window_and_diamond_refuse_k_below_one(monkeypatch, k):
+    # Refused before any labelling: k <= 0 used to pass with a few pairs
+    # checked, or none, and window_pairs went negative.
+    def refuse(*args):
+        raise AssertionError("labelled a window for k < 1")
+
+    monkeypatch.setattr(verifier, "label_window", refuse)
+    s = LabelingScheme(k, 0, "h", 1, 2, 7)
+    for call in (lambda: window_pairs(k, 5, 5), lambda: window_pairs(k, 3, 1),
+                 lambda: check_diamond(s), lambda: check_window(s, 5, 5),
+                 lambda: check_window(s, 1, 1)):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            call()
+
+
 def test_injectivity_within_reuse_distance():
     # Distinct vertices at distance <= k never share a label (gap >= 1).
     for k in [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]:
@@ -407,7 +432,8 @@ def test_kernels_match_reference_on_the_object_path():
     assert failing, "no object-path scheme fails"
 
 
-@pytest.mark.parametrize("c", [2**15 - 1, 2**15, 2**31 - 1, 2**31])
+@pytest.mark.parametrize("c", [2**15 - 11, 2**15 - 1, 2**15, 2**31 - 11,
+                               2**31 - 1, 2**31])
 def test_window_matches_reference_at_the_narrow_dtype_limits(c):
     # a = c - 1 puts labels 0 and c - 1 side by side, the widest gap the
     # narrowed grid must hold; b = 1 makes vertical neighbours violate.
@@ -484,6 +510,19 @@ def test_window_matches_reference_on_random_shapes(k, width, height, coeffs,
             == reference_check_window(s, width, height, cap, x0=x0, y0=y0))
 
 
+def test_wide_windows_check_as_fast_as_tall_ones():
+    # A wide window is checked as the tall one it transposes to.
+    s = scheme_params(2001)
+    best = {}
+    for _ in range(3):
+        for shape in [(8000, 4), (4, 8000)]:
+            t0 = time.perf_counter()
+            assert check_window(s, *shape).passed
+            elapsed = time.perf_counter() - t0
+            best[shape] = min(best.get(shape, elapsed), elapsed)
+    assert best[8000, 4] <= 2 * best[4, 8000], best
+
+
 def test_tall_windows_check_as_fast_as_wide_ones():
     # The same pairs on a 4-wide, 8000-tall window and on its transpose:
     # each offset compares one contiguous run, so the shape barely matters.
@@ -500,12 +539,57 @@ def test_tall_windows_check_as_fast_as_wide_ones():
     assert best[4, 8000] <= 2 * best[8000, 4], best
 
 
-@pytest.mark.parametrize("c, dtype", [
+@pytest.mark.parametrize("bound, dtype", [
     (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
 ])
-def test_window_grid_takes_the_narrowest_type_holding_c(c, dtype):
-    grid = label_window(mutant(3, 1, 1, c), 0, 0, 3, 3)
-    assert verifier._narrowed(grid, c).dtype == dtype
+def test_window_grid_takes_the_narrowest_type_holding_c(bound, dtype):
+    # The grid must hold c + k + 1, the gap between the label c - 1 and
+    # the sentinel -(k+1), so each boundary on c moves down by k + 1.
+    for k in (1, 3, 9):
+        s = mutant(k, 1, 1, bound - k - 1)
+        assert verifier._window_grid(s, 0, 0, 3, 3).dtype == dtype, k
+    assert verifier._window_grid(mutant(2**63, 1, 1, 7), 0, 0, 3, 3).dtype == object
+
+
+def test_window_wide_and_tall_agree_on_equal_labels():
+    # a = b gives equal labels at offset (1, -1) and its negation. A wide
+    # window is checked transposed, where that offset comes out as (-1, 1);
+    # reports still name the orientation with x > 0.
+    s = mutant(3, 5, 5, 40)
+    for width, height in [(20, 3), (3, 20), (9, 9)]:
+        verdict = check_window(s, width, height, 10**6, x0=-4, y0=7)
+        assert verdict == reference_check_window(s, width, height, 10**6,
+                                                 x0=-4, y0=7)
+        assert ViolationReport((1, -1), 2, 2, 0) in verdict.violations
+        assert {rep.offset for rep in verdict.violations} == \
+            naive_window_check(s, width, height, -4, 7)
+
+
+WINDOW_BLOCK_SHAPES = [(1, 37), (37, 1), (4, 50), (50, 4), (20, 17), (17, 20),
+                       (30, 30)]
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 40, 100, 10**9])
+def test_window_blocks_match_reference(monkeypatch, block_cells):
+    # Bands of one row or cell, of a few rows not dividing the window, and
+    # of all of it, on tall, wide and square windows. At k = 40 the
+    # farthest offsets (1, -36) and (-36, 1) of 2x37 and 37x2 windows have
+    # one pair each.
+    schemes = [scheme_params(1), scheme_params(9), scheme_params(24),
+               mutant(5, 1, 1, 3), mutant(7, 2, 9, 40), mutant(9, 7, 7, 300),
+               OBJECT_PATH_SCHEMES[1]]
+    cases = [(s, shape) for s in schemes for shape in WINDOW_BLOCK_SHAPES]
+    cases += [(mutant(40, 1, 1, 3), shape) for shape in [(2, 37), (37, 2)]]
+    expected = {(s, shape, cap): reference_check_window(s, *shape, cap, x0=-7, y0=3)
+                for s, shape in cases for cap in (0, 10**6)}
+    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
+    failing = 0
+    for (s, shape, cap), want in expected.items():
+        got = check_window(s, *shape, cap, x0=-7, y0=3)
+        assert got == want, (s, shape, cap)
+        assert got.checked_pairs == window_pairs(s.k, *shape)
+        failing += not got.passed
+    assert failing >= 40, failing
 
 
 @pytest.mark.parametrize("block_cells", [1, 7, 57, 95, 100, 10**9])
@@ -531,7 +615,58 @@ def test_diamond_memory_is_bounded_by_the_block():
     assert peak < 32 * 2**20, peak
 
 
+def peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_window_memory_stays_below_four_mib():
+    # An int64 grid alone would be 7.6 MiB; the int16 grid is 1.9 MiB.
+    verdict, peak = peak_traced_bytes(lambda: check_window(scheme_params(7),
+                                                           1000, 1000))
+    assert verdict.passed and verdict.checked_pairs == window_pairs(7, 1000, 1000)
+    assert peak < 4 * 2**20, peak
+
+
+def test_diamond_memory_stays_below_four_mib():
+    verdict, peak = peak_traced_bytes(lambda: check_diamond(scheme_params(501)))
+    assert verdict.passed
+    assert peak < 4 * 2**20, peak
+
+
 # ------------------------------------------------------------ no-hole
+
+def test_no_hole_memory_stays_below_four_mib():
+    report, peak = peak_traced_bytes(lambda: check_no_hole(scheme_params(21), "both"))
+    assert report.is_no_hole and report.attained_count == scheme_params(21).c
+    assert peak < 4 * 2**20, peak
+
+
+def test_no_hole_enumeration_stops_once_every_label_is_seen(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return label_window(*args)
+
+    monkeypatch.setattr(verifier, "label_window", counted)
+    s = scheme_params(21)
+    assert s.c * s.c > 20 * verifier.BLOCK_CELLS
+    assert check_no_hole(s, "both").attained_count == s.c
+    assert len(calls) == 1
+    # gcd(a, b, c) = 2: only even labels, so every block of the period runs.
+    calls.clear()
+    holey = mutant(3, 2, 4, 1000)
+    rows = verifier.BLOCK_CELLS // holey.c
+    assert check_no_hole(holey, "enumerate").attained_count == 500
+    assert len(calls) == -(-holey.c // rows) > 1
+    assert sum(args[4] for args in calls) == holey.c
+
 
 def test_no_hole_k3_both_modes():
     report = check_no_hole(scheme_params(3), "both")
