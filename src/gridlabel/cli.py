@@ -25,7 +25,9 @@ Exit codes are a stable contract: 0 = success / all checks passed,
 a request over a budget (verifier.BudgetExceeded, raised before any
 work): window cells or bounds rows over MAX_OUTPUT_ROWS, a diamond over
 MAX_DIAMOND_OFFSETS, a window check over verifier.window_pair_budget
-pairs, or a no-hole enumeration over its pair budget.
+pairs, or a no-hole enumeration over its pair budget. A reader that
+closes stdout early (gridlabel ... | head) gets 141, 128 + SIGPIPE, and
+nothing on stderr: no check failed.
 
 CSV output is RFC-4180-style with a mandatory header row and LF line
 endings. PGM output is plain P2 with maxval c-1 (a visualization aid,
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -382,23 +385,38 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "label":
-            return write_label(out, scheme_params(args.k), *args.window, args.format)
-        if args.command == "verify":
-            x0, y0, width, height = args.window
-            return write_verify(out, scheme_params(args.k), args.mode, width,
-                                height, args.format, args.max_violations,
-                                x0=x0, y0=y0)
-        if args.command == "bounds":
-            return write_bounds(out, args.k_min, args.k_max, args.format)
-        if args.command == "nohole":
-            return write_nohole(out, scheme_params(args.k), args.mode,
-                                args.pair_budget, args.format)
-        return write_search(out, args.rows, args.cols, args.k, args.node_budget,
-                            args.format)
+        code = _dispatch(args, out)
+        out.flush()  # so a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (gridlabel ... | head): no check failed.
+        # What is still buffered goes to devnull, so the interpreter's
+        # final flush stays quiet, and the code is 128 + SIGPIPE, what the
+        # shell reports for a command the closed pipe killed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _dispatch(args: argparse.Namespace, out) -> int:
+    if args.command == "label":
+        return write_label(out, scheme_params(args.k), *args.window, args.format)
+    if args.command == "verify":
+        x0, y0, width, height = args.window
+        return write_verify(out, scheme_params(args.k), args.mode, width,
+                            height, args.format, args.max_violations,
+                            x0=x0, y0=y0)
+    if args.command == "bounds":
+        return write_bounds(out, args.k_min, args.k_max, args.format)
+    if args.command == "nohole":
+        return write_nohole(out, scheme_params(args.k), args.mode,
+                            args.pair_budget, args.format)
+    return write_search(out, args.rows, args.cols, args.k, args.node_budget,
+                        args.format)
 
 
 if __name__ == "__main__":

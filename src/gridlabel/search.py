@@ -11,12 +11,15 @@ Every entry point takes one constraint list from ``_gap_constraints``,
 which first refuses k < 1 and patches over the vertex cap; ``exact_span``
 builds it once for the greedy start, the clique bound and every probe.
 
-Domains are bitmasks held in Python ints: a vertex's mask has one bit per
-label its earlier neighbours block, and the next candidate is found by a
-lowest-clear-bit jump rather than by re-checking every neighbour for
-every label. Masks stay within a few times the label count being probed,
-and greedy first-fit jumps past blocked bands the same way, so neither
-cost grows with k.
+Domains are bitmasks held in Python ints. A vertex's free-label mask has
+one bit per label it may still try, capped where a label would be over
+the node budget, and the next candidate is its lowest set bit rather
+than a re-check of every neighbour for every label. The bands blocked by
+a vertex's earlier neighbours other than the previous vertex do not
+change while the previous vertex tries its candidates, so their union is
+built once per scan and each placement adds one band. Masks stay within
+a few times min(label count, node budget) bits, and greedy first-fit
+jumps past blocked bands in sorted order, so neither cost grows with k.
 
 A single search is sequential; independent probes may run concurrently.
 """
@@ -147,13 +150,16 @@ def probe_feasible(patch: Patch, k: int, lam: int,
     labelings, so any feasible instance has a solution in the restricted
     space.
 
-    Each vertex's domain is a bitmask of the labels its earlier neighbours
-    block, built once when the search reaches the vertex; the next
-    candidate is its lowest clear bit at or above the last label tried. A
-    node is one candidate label considered at one vertex, blocked labels
-    skipped by a jump included, so the count equals that of a
-    label-by-label scan. Masks stay within a few times min(lam,
-    node_budget) bits, so the cost does not grow with k.
+    Each vertex's domain is a mask of its free labels, capped at
+    min(lam, node_budget + 1) bits, since reaching any label past that
+    exceeds the budget; the next candidate is its lowest set bit, cleared
+    once tried. The union of the bands blocked by the vertex's earlier
+    neighbours other than the previous vertex is built once per scan of
+    the previous vertex and reused for each of its candidates. A node is
+    one candidate label considered at one vertex, blocked labels skipped
+    included, so the count equals that of a label-by-label scan. Masks
+    stay within a few times min(lam, node_budget) bits, so the cost does
+    not grow with k.
     """
     return _probe(patch, _gap_constraints(patch, k), lam, node_budget)
 
@@ -168,25 +174,42 @@ def _probe(patch: Patch, cons: _Constraints, lam: int, node_budget: int):
     # cap or more blocks every such label, so gaps are capped at cap and no
     # mask grows with k. Each band is stored shifted up by top - g + 1 >= 1,
     # top being the largest capped gap, so placing it at label l is one
-    # left shift and bit top of the union is label 0.
+    # left shift and bit top of a union is label 0.
     over_budget = max(node_budget, 0) + 1  # the count reported on a stop
     cap = min(lam, over_budget)
     gaps = {min(gap, cap) for row in cons for _, gap in row}
     top = max(gaps, default=0)
     band = {g: ((1 << (2 * g - 1)) - 1) << (top - g + 1) for g in gaps}
-    bands = [[(j, band[min(gap, cap)]) for j, gap in row] for row in cons]
+    # near[i] is vertex i-1's band (0 when out of reach), far[i] the rest:
+    # their union is fixed while vertex i-1 tries its candidates.
+    near = [0] * n
+    far: list[list[tuple[int, int]]] = []
+    for i, row in enumerate(cons):
+        far.append([])
+        for j, gap in row:
+            if j == i - 1:
+                near[i] = band[min(gap, cap)]
+            else:
+                far[i].append((j, band[min(gap, cap)]))
+    # free[i] holds vertex i's untried, unblocked labels up to limits[i],
+    # bit top being label 0. None reaches cap: such a label is over the
+    # budget, so masks stay within cap bits too.
     limits = [lam - 1] * n
     limits[0] = (lam - 1) // 2
-    blocked = [0] * n
+    labels_mask = ((1 << cap) - 1) << top
+    free = [0] * n
+    free[0] = ((1 << min(limits[0] + 1, cap)) - 1) << top
+    partial = [0] * n
     labels = [0] * n
     nodes = 0
     i = 0
     start = 0
     while True:
-        rest = blocked[i] >> start
-        lab = start + ((rest + 1) & ~rest).bit_length() - 1  # lowest clear bit
-        limit = limits[i]
-        if lab <= limit:
+        f = free[i]
+        if f:
+            low = f & -f
+            free[i] = f ^ low
+            lab = low.bit_length() - 1 - top
             nodes += lab - start + 1
             if nodes > node_budget:
                 return None, None, over_budget
@@ -194,13 +217,17 @@ def _probe(patch: Patch, cons: _Constraints, lam: int, node_budget: int):
             i += 1
             if i == n:
                 return True, _certificate(patch, labels), nodes
-            union = 0
-            for j, b in bands[i]:
-                union |= b << labels[j]
-            blocked[i] = union >> top
+            if start == 0:  # vertex i-1's first candidate of this scan
+                union = 0
+                for j, b in far[i]:
+                    union |= b << labels[j]
+                partial[i] = union
+            free[i] = labels_mask & ~(partial[i] | near[i] << lab)
             start = 0
         else:
-            nodes += limit - start + 1
+            # Every candidate up to limits[i] is tried or blocked; a capped
+            # mask runs out only where this count passes the budget.
+            nodes += limits[i] - start + 1
             if nodes > node_budget:
                 return None, None, over_budget
             i -= 1

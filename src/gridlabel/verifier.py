@@ -59,7 +59,6 @@ from .scheme import (
     ODD_K_ODD_P,
     LabelingScheme,
     _check_modulus,
-    _int64_window,
     label,
     label_window,
 )
@@ -76,12 +75,12 @@ DEFAULT_PAIR_BUDGET = 4_000_000
 #: about 1 G pairs/s: 3e9 pairs at k = 9189 take about 3 s on 4x25000
 #: and on 25000x4, and at k = 10^6 on 19000x4 and on 4x19000 (in
 #: process, on 2 shared cores).
-#: Schemes whose label_window grid holds Python integers (k > 2908167)
-#: get the smaller budget. Their comparisons still run on int64 up to
-#: k = 3664061, where c + k + 1 fits: the default 100x100 window takes
-#: about 0.1 s. Past that, Python integers compare about 11-13 M pairs/s:
-#: about 4 s, and still the whole default 100x100 window (49 995 000
-#: pairs).
+#: Schemes whose window grid holds Python integers (c + k + 1 past
+#: int64, k > 3664061) get the smaller budget: they compare about
+#: 11-13 M pairs/s, about 4 s for the whole default 100x100 window
+#: (49 995 000 pairs). Up to k = 3664061 the grid is int64, though
+#: label_window returns Python integers past k = 2908167: 101x100
+#: (50 999 950 pairs) takes about 0.1 s at k = 3000000 and at 3664061.
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
 #: Cells per block of the diamond check and of the no-hole enumeration,
@@ -218,10 +217,12 @@ def window_pairs(k: int, width: int, height: int) -> int:
 
 
 def window_pair_budget(scheme: LabelingScheme) -> int:
-    """The most pairs a window check of scheme should compare: the dtype
-    of its label_window grid sets the speed, so Python-integer labels get
+    """The most pairs a window check of scheme should compare: the type
+    it compares in (_window_dtype) sets the speed, so Python integers get
     the smaller budget."""
-    return MAX_WINDOW_PAIRS if _int64_window(scheme) else MAX_OBJECT_WINDOW_PAIRS
+    if _window_dtype(scheme) == "object":
+        return MAX_OBJECT_WINDOW_PAIRS
+    return MAX_WINDOW_PAIRS
 
 
 def check_window(scheme: LabelingScheme, width: int, height: int,
@@ -345,17 +346,22 @@ def _orient(found: dict, offset: tuple[int, int], diff: np.ndarray,
                 found[off] = ViolationReport(off, r, required, actual)
 
 
+def _window_dtype(scheme: LabelingScheme) -> str:
+    """The narrowest signed type holding c + k + 1, past the widest gap
+    between a label in [0, c) and the sentinel -(k+1); "object" (Python
+    integers) when no fixed-width type does."""
+    widest = scheme.c + scheme.k + 1
+    return next((f"int{bits}" for bits in (16, 32, 64)
+                 if widest < 1 << (bits - 1)), "object")
+
+
 def _window_grid(scheme: LabelingScheme, x0: int, y0: int,
                  width: int, height: int) -> np.ndarray:
-    """label_window's grid, labelled in bands of rows, in the narrowest
-    signed type holding c + k + 1, past the widest gap between a label
-    in [0, c) and the sentinel -(k+1); object (Python integers) when no
-    fixed-width type does."""
+    """label_window's grid, labelled in bands of rows, in the type of
+    _window_dtype."""
     import numpy as np
 
-    dtype = next((t for t in (np.int16, np.int32, np.int64)
-                  if scheme.c + scheme.k + 1 <= np.iinfo(t).max), object)
-    grid = np.empty((height, width), dtype=dtype)
+    grid = np.empty((height, width), dtype=_window_dtype(scheme))
     rows = max(1, BLOCK_CELLS // width)
     for r0 in range(0, height, rows):
         grid[r0:r0 + rows] = label_window(scheme, x0, y0 + r0, width,

@@ -19,9 +19,10 @@ import gridlabel
 from gridlabel import (BudgetExceeded, LabelingScheme, VerificationVerdict,
                        bounds_table, label, label_rows, label_window,
                        scheme_params, window_pairs)
-from gridlabel import cli
+from gridlabel import cli, verifier
 from gridlabel.bounds import bounds_records
-from gridlabel.verifier import MAX_OBJECT_WINDOW_PAIRS, MAX_WINDOW_PAIRS
+from gridlabel.verifier import (MAX_OBJECT_WINDOW_PAIRS, MAX_WINDOW_PAIRS,
+                                window_pair_budget)
 from gridlabel.cli import (
     main,
     write_bounds,
@@ -511,27 +512,47 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
 
     monkeypatch.setattr(cli, "check_window", no_work)
     monkeypatch.setattr(cli, "label_rows", no_work)
-    # 2908168 is the first k whose label grid holds Python integers.
-    for k, window in [(300, "0,0,1000,1000"), (2908168, "0,0,101,100")]:
+    # 3664062 is the first k whose window check compares Python integers.
+    for k, window in [(300, "0,0,1000,1000"), (3664062, "0,0,101,100")]:
         code, out, err = run_cli(capsys, ["verify", "--k", str(k), "--mode",
                                           "window", "--window", window])
         pairs = window_pairs(k, *map(int, window.split(",")[2:]))
-        budget = MAX_WINDOW_PAIRS if k <= 2908167 else MAX_OBJECT_WINDOW_PAIRS
+        budget = MAX_WINDOW_PAIRS if k <= 3664061 else MAX_OBJECT_WINDOW_PAIRS
         assert (code, out) == (2, "")
         assert err == (f"error: window check needs {pairs} pairs, "
                        f"budget is {budget}\n")
-    # k = 50 on 1000x1000 (int16 labels, about 1 s), 101x100 on int64
-    # labels at k = 9190 and 2908167, and the default window on
-    # Python-integer labels stay accepted.
+    # k = 50 on 1000x1000 (int16 labels, about 1 s), 101x100 compared on
+    # int64 at k = 9190, 2908168 and 3664061 (label_window returns Python
+    # integers past k = 2908167), and the default window compared on
+    # Python integers stay accepted.
     monkeypatch.setattr(cli, "check_window", passing)
     assert window_pairs(50, 1000, 1000) == 2_464_691_450 < MAX_WINDOW_PAIRS
     assert window_pairs(9190, 101, 100) == 50_999_950 > MAX_OBJECT_WINDOW_PAIRS
-    assert window_pairs(2908168, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
+    assert window_pairs(3664062, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
     for k, window in [(50, "0,0,1000,1000"), (9190, "0,0,101,100"),
-                      (2908167, "0,0,101,100"), (2908168, "0,0,100,100")]:
+                      (2908168, "0,0,101,100"), (3664061, "0,0,101,100"),
+                      (3664062, "0,0,100,100")]:
         code, out, _ = run_cli(capsys, ["verify", "--k", str(k), "--mode",
                                         "window", "--window", window])
         assert code == 0 and "PASS" in out
+
+
+def test_verify_window_budget_follows_the_compared_type(capsys):
+    # The budget follows the type check_window compares in: int64 while
+    # c + k + 1 fits (k <= 3664061), although label_window itself returns
+    # Python integers past k = 2908167. The real check runs here.
+    assert [verifier._window_dtype(scheme_params(k))
+            for k in (2908167, 2908168, 3664061, 3664062)] == \
+        ["int64", "int64", "int64", "object"]
+    assert [window_pair_budget(scheme_params(k)) for k in (3664061, 3664062)] == \
+        [MAX_WINDOW_PAIRS, MAX_OBJECT_WINDOW_PAIRS]
+    argv = ["verify", "--mode", "window", "--window", "0,0,101,100"]
+    code, out, err = run_cli(capsys, argv + ["--k", "3000000"])
+    assert (code, err) == (0, "") and "overall: PASS" in out
+    code, out, err = run_cli(capsys, argv + ["--k", "3664062"])
+    assert (code, out) == (2, "")
+    assert err == ("error: window check needs 50999950 pairs, "
+                   "budget is 50000000\n")
 
 
 def test_verify_window_pairs_budget_is_three_billion(monkeypatch):
@@ -625,6 +646,9 @@ class CountingSink:
 
     def write(self, text):
         self.chars += len(text)
+
+    def flush(self):  # main flushes stdout before it returns
+        pass
 
 
 def bounds_peak(monkeypatch, fmt):
@@ -805,6 +829,24 @@ def test_commands_without_numpy_match_commands_with_it():
     assert [code for code, _, _ in loaded] == [0] * 11 + [2, 0]
     for args, got, want in zip(NUMPY_FREE_ARGV, blocked, loaded):
         assert got == want, args
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--k-min", "1", "--k-max", "100000"],
+    ["label", "--k", "3", "--window", "0,0,1000,1000", "--format", "csv"],
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    # gridlabel ... | head: the reader closes the pipe after one line. That
+    # is no property violation (1), and no traceback may reach stderr.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "gridlabel", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_importing_gridlabel_leaves_numpy_unloaded():

@@ -182,9 +182,12 @@ def test_greedy_matches_reference(rows, cols, k):
     assert greedy_certificate(patch, k) == reference_greedy_certificate(patch, k)
 
 
+# Every search fixture of the benchmark; the node counts sum to 9 045 428.
 @pytest.mark.parametrize("rows,cols,k,lam,nodes", [
-    (3, 3, 4, 18, 389266),
-    (2, 5, 4, 18, 3284965),
+    (2, 5, 4, 18, 3284965), (2, 4, 5, 22, 1182344), (1, 12, 7, 29, 1283015),
+    (1, 6, 9, 34, 925350), (2, 3, 7, 29, 777383), (3, 6, 3, 12, 723332),
+    (3, 3, 4, 18, 389266), (4, 5, 3, 12, 230343), (5, 5, 3, 12, 230374),
+    (6, 6, 2, 7, 18981), (8, 8, 1, 2, 2), (2, 2, 2, 5, 73),
 ])
 def test_pinned_node_counts(rows, cols, k, lam, nodes):
     # nodes_explored is part of the CLI's json output; the bitmask search
