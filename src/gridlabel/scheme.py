@@ -18,13 +18,12 @@ p = 3, so no case covers p = 1.
 Scalar evaluation (label, and label_rows for the rows of a window) uses
 Python integers, hence stays exact at any magnitude, and needs no numpy,
 which the vectorized helpers (label_many, label_window) import when they
-first run. label_many reduces coordinates mod c and works in int64 when
-its largest intermediate, (a mod c + b mod c)*(c-1), fits; that holds for
-every k <= 9189. Past that it evaluates one exact object-array
-(Python-integer) expression. label_window adds two exact axis label
-vectors from label_many and subtracts c where the sum reaches c, so its
-grid is int64 while 2(c-1) fits, for every k <= 2908167, and Python
-integers past that. Schemes are immutable; functions are pure.
+first run. Coordinates must be integers. Points (label_many) are int64
+while their products fit, (a mod c + b mod c)*(c-1) <= 2^63-1, which is
+every k <= 9189, and one exact object-array (Python-integer) expression
+past that. Windows (label_window) are int64 while their labels fit,
+c <= 2^63-1, which is every k <= 3664061, and Python integers past that.
+Schemes are immutable; functions are pure.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ def _coefficients(k: int) -> tuple[int, str, int, int, int]:
 
 
 def label(scheme: LabelingScheme, v) -> int:
-    """Label of vertex v = (x, y); always in [0, c)."""
-    x, y = v
+    """Label of the integer vertex v = (x, y); always in [0, c)."""
+    x, y = map(operator.index, v)
     return (scheme.a * x + scheme.b * y) % scheme.c
 
 
@@ -134,9 +133,10 @@ def label_rows(scheme: LabelingScheme, x0: int, width: int,
     if width < 1 or not ys:
         raise ValueError("window must have positive dimensions")
     a, b, c = scheme.a, scheme.b, scheme.c
+    start = a * operator.index(x0)
     steps = [a * j for j in range(width)]
     return ([(first + s) % c for s in steps]
-            for y in ys for first in [(a * x0 + b * y) % c])
+            for y in ys for first in [(start + b * operator.index(y)) % c])
 
 
 def lambda_ub(k: int) -> int:
@@ -220,33 +220,38 @@ def _check_modulus(c: int) -> None:
         raise ValueError(f"modulus c must be >= 1, got {c}")
 
 
-def _int64_window(scheme: LabelingScheme) -> bool:
-    # label_window adds two labels in [0, c) before its conditional
-    # subtract, so its largest intermediate is 2(c-1): true for c <= 2^62.
-    return 2 * (scheme.c - 1) <= _INT64_MAX
-
-
 def label_window(scheme: LabelingScheme, x0: int, y0: int,
                  width: int, height: int) -> np.ndarray:
     """Labels of the rectangle [x0, x0+width) x [y0, y0+height).
 
     Returned array is indexed [row, col] where row i holds y = y0 + i and
-    col j holds x = x0 + j. By linearity the grid is X[j] + Y[i] less c
-    wherever that sum reaches c, with X[j] = L(x0+j, 0) and Y[i] = L(0, y0+i)
-    from label_many. It is int64 when 2(c-1) fits (_int64_window) and
-    Python integers (object dtype) otherwise. Raises ValueError for an
-    empty window or a modulus c < 1, since [0, c) is then empty.
+    col j holds x = x0 + j. It is int64 while c fits, which is every
+    k <= 3664061, and Python integers (object dtype) past that. Raises
+    ValueError for an empty window or a modulus c < 1, since [0, c) is
+    then empty, and TypeError for a coordinate that is not an integer.
+    """
+    return _label_grid(scheme, x0, y0, width, height,
+                       "int64" if scheme.c <= _INT64_MAX else "object")
+
+
+def _label_grid(scheme: LabelingScheme, x0: int, y0: int,
+                width: int, height: int, dtype) -> np.ndarray:
+    """label_window's grid in dtype, a signed type that holds c, or object.
+
+    By linearity the label at [i, j] is X[j] + (Y[i] - c), plus c where
+    that is negative, with X[j] = L(x0+j, 0) and Y[i] = L(0, y0+i) in
+    [0, c) from label_many. Both terms and their sum lie in [-c, c), so
+    no intermediate exceeds c in magnitude.
     """
     import numpy as np
 
+    x0, y0 = operator.index(x0), operator.index(y0)
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c
     _check_modulus(c)
-    dtype = np.int64 if _int64_window(scheme) else object
-    x_labels = label_many(scheme, _axis(x0, width, c), 0)
-    y_labels = label_many(scheme, 0, _axis(y0, height, c))
-    grid = (x_labels.astype(dtype, copy=False)[np.newaxis, :]
-            + y_labels.astype(dtype, copy=False)[:, np.newaxis])
-    np.subtract(grid, c, out=grid, where=grid >= c)
+    x_labels = label_many(scheme, _axis(x0, width, c), 0).astype(dtype, copy=False)
+    y_labels = label_many(scheme, 0, _axis(y0, height, c)).astype(dtype, copy=False)
+    grid = x_labels[np.newaxis, :] + (y_labels - c)[:, np.newaxis]
+    np.add(grid, c, out=grid, where=grid < 0)
     return grid

@@ -12,8 +12,8 @@ the whole infinite grid: a clean diamond certifies the scheme, while a
 violating offset names a concrete offending pair (the origin plus that
 offset, since the origin's label is 0). The diamond is labelled in
 blocks of whole columns x, about BLOCK_CELLS cells each, by one
-``label_window`` call per block (int64 for every k <= 2908167, exact
-Python integers past that), so memory stays O(BLOCK_CELLS + k) at any k.
+``label_window`` call per block, so memory stays O(BLOCK_CELLS + k) at
+any k.
 Each block is a rectangle only as tall as its tallest column, and each
 cell is compared with the gap k+1-|x|-|y| it requires. A cell outside
 the diamond requires a gap of at most 0, which no label misses when
@@ -25,13 +25,15 @@ finite rectangle, using nothing but label evaluation and absolute
 differences. It is deliberately redundant with ``check_diamond`` so the
 two can cross-validate each other. Rectangles embed isometrically in the
 grid, so in-window distances need no boundary correction. A wide window
-is checked as the tall window it transposes to, labelled once, in row
-bands, into the narrowest type holding c + k + 1. Each column offset
-compares bands of rows with their partner rows, padded with the sentinel
--(k+1), one chunk of row offsets per numpy call, so memory stays near
-the narrow grid's size. ``window_pairs`` counts the pairs it compares
-without labelling anything, and ``window_pair_budget`` gives the most a
-caller should let it compare, so callers can bound the work first.
+is checked as the tall window it transposes to. The window is labelled
+once, by ``label_window``'s kernel, into the narrowest type holding
+c + k + 1, which is int64 for every k <= 3664061, as for
+``label_window``. Each column offset compares bands of rows with their
+partner rows, padded with the sentinel -(k+1), one chunk of row offsets
+per numpy call, so memory stays near the narrow grid's size.
+``window_pairs`` counts the pairs it compares without labelling
+anything, and ``window_pair_budget`` gives the most a caller should let
+it compare, so callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
@@ -59,6 +61,7 @@ from .scheme import (
     ODD_K_ODD_P,
     LabelingScheme,
     _check_modulus,
+    _label_grid,
     label,
     label_window,
 )
@@ -75,18 +78,17 @@ DEFAULT_PAIR_BUDGET = 4_000_000
 #: about 1 G pairs/s: 3e9 pairs at k = 9189 take about 3 s on 4x25000
 #: and on 25000x4, and at k = 10^6 on 19000x4 and on 4x19000 (in
 #: process, on 2 shared cores).
-#: Schemes whose window grid holds Python integers (c + k + 1 past
-#: int64, k > 3664061) get the smaller budget: they compare about
-#: 11-13 M pairs/s, about 4 s for the whole default 100x100 window
-#: (49 995 000 pairs). Up to k = 3664061 the grid is int64, though
-#: label_window returns Python integers past k = 2908167: 101x100
-#: (50 999 950 pairs) takes about 0.1 s at k = 3000000 and at 3664061.
+#: Schemes whose window grid holds Python integers (k > 3664061) get
+#: the smaller budget: they compare about 11-13 M pairs/s, about 4 s for
+#: the whole default 100x100 window (49 995 000 pairs). Up to
+#: k = 3664061 the grid is int64: 101x100 (50 999 950 pairs) takes about
+#: 0.1 s at k = 3000000 and at 3664061.
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
 #: Cells per block of the diamond check and of the no-hole enumeration,
-#: per row band when check_window labels its window, and per gap chunk of
-#: its subtract/abs/min calls. Its bands of base rows hold 2*BLOCK_CELLS
-#: bytes: BLOCK_CELLS int16 labels, fewer wider ones.
+#: and per gap chunk of check_window's subtract/abs/min calls. Its bands
+#: of base rows hold 2*BLOCK_CELLS bytes: BLOCK_CELLS int16 labels, fewer
+#: wider ones.
 BLOCK_CELLS = 1 << 17
 
 #: Values gcd(a, b) can take in each parity case.
@@ -240,8 +242,8 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
 
     A window wider than it is tall is checked as the tall window it
     transposes to (a and b swapped), with reports mapped back. The window
-    is labelled once, in row bands, in the narrowest type holding
-    c + k + 1 (_window_grid). For each column offset dx, bands of
+    is labelled once, in the narrowest type holding c + k + 1
+    (_window_dtype). For each column offset dx, bands of
     2 * BLOCK_CELLS bytes of base rows are copied into one buffer, and
     their partner rows, reach = min(k - dx, height - 1) more on either
     side, into another, rows outside the window holding the sentinel
@@ -263,7 +265,7 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     if not tall:
         scheme = replace(scheme, a=scheme.b, b=scheme.a)
         x0, y0, width, height = y0, x0, height, width
-    grid = _window_grid(scheme, x0, y0, width, height)
+    grid = _label_grid(scheme, x0, y0, width, height, _window_dtype(scheme))
     # Bands of 2 * BLOCK_CELLS bytes and gap chunks of BLOCK_CELLS cells:
     # wider labels compare more offsets dy per call over fewer rows, which
     # measured faster for int32 and int64 windows.
@@ -280,7 +282,7 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
         reach = min(k - dx, height - 1)
         lo = 1 if dx == 0 else -reach
         dys = np.arange(lo, reach + 1)
-        required = k + 1 - dx - np.abs(dys)
+        required = k + 1 - dx - np.abs(dys).astype(grid.dtype)
         band = band_cells // cols
         for r0 in range(0, height, band):
             n = min(band, height - r0)
@@ -355,20 +357,6 @@ def _window_dtype(scheme: LabelingScheme) -> str:
                  if widest < 1 << (bits - 1)), "object")
 
 
-def _window_grid(scheme: LabelingScheme, x0: int, y0: int,
-                 width: int, height: int) -> np.ndarray:
-    """label_window's grid, labelled in bands of rows, in the type of
-    _window_dtype."""
-    import numpy as np
-
-    grid = np.empty((height, width), dtype=_window_dtype(scheme))
-    rows = max(1, BLOCK_CELLS // width)
-    for r0 in range(0, height, rows):
-        grid[r0:r0 + rows] = label_window(scheme, x0, y0 + r0, width,
-                                          min(rows, height - r0))
-    return grid
-
-
 def check_no_hole(scheme: LabelingScheme, mode: str = "both",
                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> NoHoleReport:
     """Audit that every label in {0, ..., c-1} is attained.
@@ -398,7 +386,7 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     # Labels lie in [0, c), so histograms count them in O(c^2) at most.
     # The period is labelled in row blocks, so memory stays O(block + c)
     # whatever the budget. Blocks are int64: label_window only leaves
-    # int64 for c > 2^62, far past any c*c a budget could allow.
+    # int64 past k = 3664061, far past any c*c a budget could allow.
     c = scheme.c
     rows = max(1, BLOCK_CELLS // c)
     hits = np.zeros(c, dtype=np.int64)

@@ -57,6 +57,12 @@ def test_triangular_convolution_values():
     assert triangular_convolution(10) == 220
 
 
+@pytest.mark.parametrize("p", [0, -4])
+def test_triangular_convolution_rejects_p_below_one(p):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        triangular_convolution(p)
+
+
 def test_triangular_convolution_closed_form_up_to_300():
     for p in range(1, 301):
         assert triangular_convolution(p) == p * (p + 1) * (p + 2) // 6

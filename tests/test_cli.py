@@ -447,6 +447,17 @@ def test_negative_count_arguments_are_usage_errors(capsys, argv, flag):
     assert flag in err and ">= 0" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--k", "3", "--window", "0,0,a,4"], "window values must be integers"),
+    (["nohole", "--k", "3", "--pair-budget", "x"], "invalid integer: 'x'"),
+])
+def test_non_integer_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_shifted_window(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
                                     "--window", "5,7,3,3"])
@@ -522,15 +533,14 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
         assert err == (f"error: window check needs {pairs} pairs, "
                        f"budget is {budget}\n")
     # k = 50 on 1000x1000 (int16 labels, about 1 s), 101x100 compared on
-    # int64 at k = 9190, 2908168 and 3664061 (label_window returns Python
-    # integers past k = 2908167), and the default window compared on
-    # Python integers stay accepted.
+    # int64 at k = 9190, 3000000 and 3664061, and the default window
+    # compared on Python integers stay accepted.
     monkeypatch.setattr(cli, "check_window", passing)
     assert window_pairs(50, 1000, 1000) == 2_464_691_450 < MAX_WINDOW_PAIRS
     assert window_pairs(9190, 101, 100) == 50_999_950 > MAX_OBJECT_WINDOW_PAIRS
     assert window_pairs(3664062, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
     for k, window in [(50, "0,0,1000,1000"), (9190, "0,0,101,100"),
-                      (2908168, "0,0,101,100"), (3664061, "0,0,101,100"),
+                      (3000000, "0,0,101,100"), (3664061, "0,0,101,100"),
                       (3664062, "0,0,100,100")]:
         code, out, _ = run_cli(capsys, ["verify", "--k", str(k), "--mode",
                                         "window", "--window", window])
@@ -539,11 +549,12 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
 
 def test_verify_window_budget_follows_the_compared_type(capsys):
     # The budget follows the type check_window compares in: int64 while
-    # c + k + 1 fits (k <= 3664061), although label_window itself returns
-    # Python integers past k = 2908167. The real check runs here.
-    assert [verifier._window_dtype(scheme_params(k))
-            for k in (2908167, 2908168, 3664061, 3664062)] == \
-        ["int64", "int64", "int64", "object"]
+    # c + k + 1 fits (k <= 3664061), where label_window is int64 too. The
+    # real check runs here.
+    assert [(verifier._window_dtype(scheme_params(k)),
+             label_window(scheme_params(k), 0, 0, 1, 1).dtype.name)
+            for k in (9190, 3664061, 3664062)] == \
+        [("int64", "int64"), ("int64", "int64"), ("object", "object")]
     assert [window_pair_budget(scheme_params(k)) for k in (3664061, 3664062)] == \
         [MAX_WINDOW_PAIRS, MAX_OBJECT_WINDOW_PAIRS]
     argv = ["verify", "--mode", "window", "--window", "0,0,101,100"]

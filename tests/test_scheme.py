@@ -14,6 +14,7 @@ from gridlabel import (
     UnsupportedK,
     label,
     label_many,
+    label_rows,
     label_window,
     lambda_ub,
     scheme_params,
@@ -138,6 +139,25 @@ def test_label_many_rejects_floats():
         label_many(s, np.array([0.5]), np.array([1.0]))
 
 
+def test_scalar_coordinates_must_be_integers():
+    # A numpy integer coordinate is taken as the Python integer it holds,
+    # so no product wraps (5 * big + 15 * big = 8 mod 12, where int64
+    # arithmetic overflows), and anything else is refused, as label_many
+    # refuses it.
+    s = scheme_params(3)
+    big = np.int64(1 << 62)
+    assert label(s, (big, big)) == 8
+    assert list(label_rows(s, big, 2, range(1))) == [[8, 1]]
+    assert list(label_rows(s, 0, 1, [big])) == [[label(s, (0, 1 << 62))]]
+    for call in [lambda: label(s, (0.5, 0)), lambda: label_window(s, 0.5, 0, 2, 1),
+                 lambda: label_window(s, 0, 0.5, 2, 1),
+                 lambda: next(label_rows(s, 0.5, 2, range(1))),
+                 lambda: next(label_rows(s, 0, 2, [0.5])),
+                 lambda: label_many(s, 0.5, 0)]:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_label_window_orientation():
     s = scheme_params(3)
     grid = label_window(s, 0, 0, 4, 2)
@@ -181,40 +201,50 @@ def test_label_many_exact_at_path_boundary(k, dtype):
 
 def assert_window_matches_scalar(s, x0, y0, width, height):
     grid = label_window(s, x0, y0, width, height)
+    x0, y0 = int(x0), int(y0)
     assert grid.tolist() == [[label(s, (x0 + i, y0 + j)) for i in range(width)]
                              for j in range(height)]
-    # The grid sums two labels in [0, c) before subtracting c.
-    assert grid.dtype == (np.int64 if 2 * (s.c - 1) <= INT64_MAX else object)
+    # No intermediate exceeds c in magnitude, so the grid is int64 while
+    # its labels fit.
+    assert grid.dtype == (np.int64 if s.c <= INT64_MAX else object)
     return grid
 
 
 # (-2, -1) puts x = y = -1 in the window: with a = b = 1 or a = b = c-1
-# both axis labels reach c-1 there, and the sum its maximum 2(c-1).
+# both axis labels reach c-1 there, the largest labels the sum can add.
 WINDOW_ORIGINS = [(INT64_MAX - 3, INT64_MIN), (INT64_MIN, INT64_MAX - 2),
                   (-7, 5), (-2, -1), (10**30, -(10**30)), (-(10**30), 10**30)]
 
 
+def window_origins():
+    """WINDOW_ORIGINS, then those that fit as numpy int64 origins."""
+    yield from WINDOW_ORIGINS
+    for x0, y0 in WINDOW_ORIGINS:
+        if max(abs(x0), abs(y0)) <= INT64_MAX:
+            yield np.int64(x0), np.int64(y0)
+
+
 @pytest.mark.parametrize("k, dtype", [(2253, np.int64), (2254, np.int64),
                                       (9189, np.int64), (9190, np.int64),
-                                      (2908167, np.int64), (2908168, object)])
+                                      (3664061, np.int64), (3664062, object)])
 def test_label_window_exact_at_path_boundary(k, dtype):
     s = scheme_params(k)
-    for x0, y0 in WINDOW_ORIGINS:
+    for x0, y0 in window_origins():
         assert assert_window_matches_scalar(s, x0, y0, 6, 4).dtype == dtype
 
 
-@pytest.mark.parametrize("c, dtype", [(2**62, np.int64), (2**62 + 1, object)])
+@pytest.mark.parametrize("c, dtype", [(INT64_MAX, np.int64), (INT64_MAX + 1, object)])
 def test_label_window_int64_guard_is_tight(c, dtype):
-    # 2(c-1) <= 2^63-1 exactly when c <= 2^62.
+    # The grid is int64 exactly while c fits.
     for a, b in [(1, 1), (c - 1, c - 1), (3**50, -(7**20))]:
-        for x0, y0 in WINDOW_ORIGINS:
+        for x0, y0 in window_origins():
             grid = assert_window_matches_scalar(hand_built(a, b, c), x0, y0, 6, 4)
             assert grid.dtype == dtype
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.integers(-2**72, 2**72), b=st.integers(-2**72, 2**72),
-       c=st.integers(1, 50) | st.integers(2**62 - 3, 2**62 + 3) | st.integers(1, 2**70),
+       c=st.integers(1, 50) | st.integers(2**63 - 3, 2**63 + 3) | st.integers(1, 2**70),
        x0=st.integers(-10**30, 10**30), y0=st.integers(-10**30, 10**30),
        w=st.integers(1, 8), h=st.integers(1, 8))
 def test_label_window_matches_scalar(a, b, c, x0, y0, w, h):

@@ -343,6 +343,7 @@ def test_window_and_diamond_refuse_k_below_one(monkeypatch, k):
         raise AssertionError("labelled a window for k < 1")
 
     monkeypatch.setattr(verifier, "label_window", refuse)
+    monkeypatch.setattr(verifier, "_label_grid", refuse)
     s = LabelingScheme(k, 0, "h", 1, 2, 7)
     for call in (lambda: window_pairs(k, 5, 5), lambda: window_pairs(k, 3, 1),
                  lambda: check_diamond(s), lambda: check_window(s, 5, 5),
@@ -430,6 +431,16 @@ def test_kernels_match_reference_on_the_object_path():
                     == reference_check_window(s, 12, 12, cap, x0=-5, y0=2)), (s, cap)
             failing += not d.passed
     assert failing, "no object-path scheme fails"
+
+
+def test_window_matches_reference_when_k_is_past_int64():
+    # The required gaps and the sentinel -(k+1) are Python integers too;
+    # x + y mod c fails every offset at this k.
+    for s in [scheme_params(10**30 + 1), mutant(2**64, 1, 1, 2**70 + 1)]:
+        for cap in (0, 10**6):
+            got = check_window(s, 5, 7, cap, x0=-3, y0=10**20)
+            assert got == reference_check_window(s, 5, 7, cap, x0=-3, y0=10**20)
+            assert got.passed == (s.a != 1), s
 
 
 @pytest.mark.parametrize("c", [2**15 - 11, 2**15 - 1, 2**15, 2**31 - 11,
@@ -545,10 +556,14 @@ def test_tall_windows_check_as_fast_as_wide_ones():
 def test_window_grid_takes_the_narrowest_type_holding_c(bound, dtype):
     # The grid must hold c + k + 1, the gap between the label c - 1 and
     # the sentinel -(k+1), so each boundary on c moves down by k + 1.
+    def window_grid(s):
+        grid = verifier._label_grid(s, -1, 2, 3, 3, verifier._window_dtype(s))
+        assert grid.tolist() == label_window(s, -1, 2, 3, 3).tolist()
+        return grid
+
     for k in (1, 3, 9):
-        s = mutant(k, 1, 1, bound - k - 1)
-        assert verifier._window_grid(s, 0, 0, 3, 3).dtype == dtype, k
-    assert verifier._window_grid(mutant(2**63, 1, 1, 7), 0, 0, 3, 3).dtype == object
+        assert window_grid(mutant(k, 1, 1, bound - k - 1)).dtype == dtype, k
+    assert window_grid(mutant(2**63, 1, 1, 7)).dtype == object
 
 
 def test_window_wide_and_tall_agree_on_equal_labels():
@@ -685,6 +700,18 @@ def test_no_hole_detects_altered_modulus():
     assert not report.is_no_hole
     assert report.gcd_triple == 5
     assert report.attained_count == 3  # only multiples of 5
+
+
+def test_no_hole_both_refuses_disagreeing_routes(monkeypatch):
+    # Broken arithmetic that labels every vertex 0 leaves holes the gcd
+    # route does not predict.
+    def zeros(scheme, x0, y0, width, height):
+        return np.zeros((height, width), dtype=np.int64)
+
+    monkeypatch.setattr(verifier, "label_window", zeros)
+    assert check_no_hole(scheme_params(3), "enumerate").attained_count == 1
+    with pytest.raises(AssertionError, match="disagree"):
+        check_no_hole(scheme_params(3), "both")
 
 
 def test_no_hole_budget():
