@@ -21,7 +21,10 @@ which the vectorized helpers (label_many, label_window) import when they
 first run. Coordinates must be integers. Points (label_many) are int64
 while their products fit, (a mod c + b mod c)*(c-1) <= 2^63-1, which is
 every k <= 9189, and one exact object-array (Python-integer) expression
-past that. Windows (label_window) are int64 while their labels fit,
+past that. The int64 path reduces by floor division, v - (v // c)*c,
+into at most two arrays of the broadcast shape; the product may wrap
+next to INT64_MIN, and the subtraction wraps back to the exact remainder
+in [0, c). Windows (label_window) are int64 while their labels fit,
 c <= 2^63-1, which is every k <= 3664061, and Python integers past that.
 Schemes are immutable; functions are pure.
 """
@@ -172,22 +175,90 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     a, b, c = scheme.a, scheme.b, scheme.c
     ints = xs.dtype.kind in "iu" and ys.dtype.kind in "iu"
     if ints and c <= _INT64_MAX:
+        if _int64_safe(scheme):
+            return _label_int64(xs, ys, a % c, b % c, c)
         xs = _reduced(xs, c)
         ys = _reduced(ys, c)
-        if _int64_safe(scheme):
-            return ((a % c) * xs + (b % c) * ys) % c
     return (a * _as_python_ints(xs) + b * _as_python_ints(ys)) % c
 
 
-def _reduced(values: np.ndarray, c: int) -> np.ndarray:
+def _label_int64(xs: np.ndarray, ys: np.ndarray, a: int, b: int,
+                 c: int) -> np.ndarray:
+    """(a*xs + b*ys) mod c on int64, for a, b in [0, c) under _int64_safe.
+
+    Each array operand is reduced into a new array and scaled there. The
+    sum goes into one of them that has the broadcast shape, and is reduced
+    into the other if it has it too, so at most two arrays of that shape
+    are allocated and the inputs are only read. A 0-d operand's term is
+    one Python integer; two give an np.int64, as label would.
+    """
     import numpy as np
 
+    x, y = _term(xs, a, c), _term(ys, b, c)
+    if isinstance(x, int):
+        if isinstance(y, int):
+            return np.int64((x + y) % c)
+        x, y = y, x
+    if isinstance(y, int):
+        x += y
+        return _floor_mod(x, np.int64(c))
+    shape = np.broadcast(x, y).shape
+    full = [t for t in (x, y) if t.shape == shape]
+    total = np.add(x, y, out=full[0] if full else None)
+    return _floor_mod(total, np.int64(c), out=full[1] if len(full) > 1 else None)
+
+
+def _term(values: np.ndarray, coef: int, c: int):
+    """coef * (values mod c): a Python integer for a 0-d operand, else a
+    new int64 array."""
+    if values.ndim == 0:
+        return coef * (int(values) % c)
+    reduced = _reduced(values, c)
+    reduced *= coef
+    return reduced
+
+
+def _reduced(values: np.ndarray, c: int):
+    """values mod c as a new int64 array, or an np.int64 for a 0-d operand."""
+    import numpy as np
+
+    if values.ndim == 0:
+        return np.int64(int(values) % c)
     # A numpy scalar modulus widens the result: with a Python int, NEP 50
     # makes narrow arrays (int32, uint8, ...) raise OverflowError once c
-    # exceeds their range. uint64 keeps its own type so values past
-    # 2^63-1 are reduced before the int64 cast.
-    modulus = np.uint64(c) if values.dtype == np.uint64 else np.int64(c)
-    return np.mod(values, modulus).astype(np.int64, copy=False)
+    # exceeds their range. uint64 is divided as uint64, so values past
+    # 2^63-1 are reduced exactly; the remainders in [0, c) read the same
+    # as int64.
+    if values.dtype == np.uint64:
+        return _floor_mod(values, np.uint64(c)).view(np.int64)
+    return _floor_mod(values, np.int64(c))
+
+
+# Below this many elements one np.mod call costs less than the three of
+# the floor-division route; they cross at about 1000 int64 elements.
+_FLOOR_MOD_MIN_SIZE = 512
+
+
+def _floor_mod(values: np.ndarray, modulus, out=None) -> np.ndarray:
+    """values mod modulus (a numpy scalar) as values - (values // modulus)
+    * modulus, written into out or a new array.
+
+    This is np.mod's floored remainder, but numpy divides by a scalar
+    with a precomputed reciprocal, which np.mod does not. The product can
+    wrap in int64 next to INT64_MIN (next to INT64_MAX for a negative
+    modulus). The subtraction then wraps back, and the result is exact
+    because it lies between 0 and the modulus. Only arrays wrap silently:
+    numpy scalars warn on overflow, so 0-d operands are reduced in Python
+    integers instead. Arrays under _FLOOR_MOD_MIN_SIZE elements take one
+    np.remainder call.
+    """
+    import numpy as np
+
+    if values.size < _FLOOR_MOD_MIN_SIZE:
+        return np.remainder(values, modulus, out=out)
+    quotient = np.floor_divide(values, modulus, out=out)
+    quotient *= modulus
+    return np.subtract(values, quotient, out=quotient)
 
 
 @functools.cache

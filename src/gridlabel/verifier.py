@@ -256,7 +256,6 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     for k < 1 or an empty window.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import as_strided
 
     pairs = window_pairs(scheme.k, width, height)
     _check_non_negative("max_violations", max_violations)
@@ -295,9 +294,9 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
             partner.fill(-(k + 1))
             partner[top - r0 - lo: bottom - r0 - lo] = grid[top:bottom, dx:]
             # Row i of shifted is the partner of the band at dy = lo + i.
-            shifted = as_strided(partner_buffer, (dys.size, n * cols),
-                                 (cols * grid.itemsize, grid.itemsize),
-                                 writeable=False)
+            shifted = np.ndarray((dys.size, n * cols), grid.dtype, partner_buffer,
+                                 strides=(cols * grid.itemsize, grid.itemsize))
+            shifted.setflags(write=False)
             # A chunk pays for up to chunk - 1 rows of sentinels per offset:
             # less than a call costs on fixed-width labels, not on objects.
             chunk = max(1, BLOCK_CELLS // (n * cols))
@@ -316,7 +315,10 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
                 np.subtract(rows, base[first:last], out=gap)
                 np.abs(gap, out=gap)
                 np.minimum.reduce(gap, axis=1, out=least[i: i + nd])
-            for i in np.flatnonzero(least[: dys.size] < required).tolist():
+            low = least[: dys.size] < required
+            if not low.any():
+                continue
+            for i in np.flatnonzero(low).tolist():
                 dy = lo + i
                 _orient(found, (dx, dy) if tall else (dy, dx),
                         shifted[i] - base, dx + abs(dy), int(required[i]))

@@ -1,5 +1,7 @@
 """Scheme construction and label evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from gridlabel import (
     lambda_ub,
     scheme_params,
 )
+from gridlabel import scheme as scheme_module
 
 coords = st.integers(min_value=-10**9, max_value=10**9)
 supported_k = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 40, 41])
@@ -307,3 +310,102 @@ def test_label_many_exact_for_every_integer_dtype(k, dtype):
     ys = np.array(edges * len(edges), dtype=dtype)
     out = label_many(s, xs, ys)
     assert out.tolist() == [label(s, (int(x), int(y))) for x, y in zip(xs, ys)]
+
+
+# ------------------------------------------------- in-place int64 kernel
+
+# Past scheme._FLOOR_MOD_MIN_SIZE elements the int64 path reduces by floor
+# division, whose (v // c) * c wraps next to INT64_MIN; fewer take one
+# np.mod call. The kernel tests run both.
+KERNEL_SIZES = [9, 2 * scheme_module._FLOOR_MOD_MIN_SIZE]
+
+
+def sized(values, size, dtype=np.int64):
+    """values repeated or cut to size elements."""
+    return np.resize(np.array(values, dtype=dtype), size)
+
+
+def scalar_labels(s, xs, ys):
+    """label at every broadcast position of xs and ys, as tolist() gives."""
+    bx, by = np.broadcast_arrays(np.asarray(xs), np.asarray(ys))
+    flat = [label(s, (int(x), int(y))) for x, y in zip(bx.flat, by.flat)]
+    return np.array(flat, dtype=object).reshape(bx.shape).tolist()
+
+
+def kernel_inputs(s, size):
+    c = s.c
+    return {
+        "int64": sized(EDGE_COORDS, size),
+        "uint64": sized([0, 1, c, 2**63, 2**64 - 1], size, np.uint64),
+        "int8": sized([-128, -1, 0, 1, 127], size, np.int8),
+        "reduced int64": sized(range(0, c, c // 7), size),
+        "read-only view": np.broadcast_to(np.int64(INT64_MIN + 5), (size,)),
+        "0-d int64": np.array(INT64_MIN),
+        "0-d uint64": np.array(2**64 - 1, dtype=np.uint64),
+    }
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("k", [3001, 9190])
+def test_label_many_never_writes_its_inputs(k, size):
+    s = scheme_params(k)
+    inputs = kernel_inputs(s, size)
+    for xs in inputs.values():
+        for ys in inputs.values():
+            before = xs.copy(), ys.copy()
+            out = np.asarray(label_many(s, xs, ys))
+            assert out.tolist() == scalar_labels(s, xs, ys)
+            for old, new in zip(before, (xs, ys)):
+                assert new.dtype == old.dtype
+                assert np.array_equal(new, old)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_int64_kernel_edge_cases(size):
+    s = scheme_params(3001)
+    # c does not divide 2^63, so (INT64_MIN // c) * c wraps past INT64_MIN.
+    assert (INT64_MIN // s.c) * s.c < INT64_MIN
+    a, b = 200, 311
+    tight = hand_built(a, b, INT64_MAX // (a + b) + 1)
+    assert (a + b) * (tight.c - 1) == INT64_MAX
+    extremes = [INT64_MIN, INT64_MIN + 1, INT64_MAX]
+    for scheme in (s, tight):
+        xs = sized([x for x in extremes for _ in extremes], size)
+        ys = sized(extremes * len(extremes), size)
+        out = label_many(scheme, xs, ys)
+        assert out.dtype == np.int64
+        assert out.tolist() == scalar_labels(scheme, xs, ys)
+        # A 0-d operand is reduced in Python integers: on numpy scalars
+        # the wrapping product would warn.
+        for x0 in (np.int64(INT64_MIN), np.array(INT64_MIN)):
+            point = label_many(scheme, x0, x0)
+            assert type(point) is np.int64
+            assert point == label(scheme, (INT64_MIN, INT64_MIN))
+            assert label_many(scheme, x0, ys).tolist() == scalar_labels(scheme, x0, ys)
+    column = sized(EDGE_COORDS, size).reshape(-1, 1)
+    row = np.array(EDGE_COORDS, dtype=np.int64)
+    for xs, ys in [(column, row), (row, column)]:
+        out = label_many(s, xs, ys)
+        assert out.shape == (column.size, row.size)
+        assert out.tolist() == scalar_labels(s, xs, ys)
+    top = sized([2**64 - 1], size, np.uint64)
+    assert label_many(s, top, top).tolist() == scalar_labels(s, top, top)
+
+
+def test_int64_kernel_allocates_two_arrays():
+    # Two temporaries of the points' size: the reduced coordinates, the
+    # sum built in one and reduced into the other.
+    s = scheme_params(3001)
+    n = 10**5
+    rng = np.random.default_rng(0)
+    xs = rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True)
+    ys = rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True)
+    label_many(s, xs[:10], ys[:10])  # first-call imports stay out of the peak
+    tracemalloc.start()
+    try:
+        label_many(s, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + 64 * 1024
