@@ -62,9 +62,9 @@ class UnsupportedK(ValueError):
 class LabelingScheme:
     """One instantiation of the labeling rule L(x, y) = (a*x + b*y) mod c.
 
-    Instances built by scheme_params satisfy 0 < a < b < c for k >= 3;
-    hand-built triples (e.g. deliberately broken ones for testing the
-    verifiers) may carry anything.
+    Instances built by scheme_params satisfy 0 < a < b < c for k >= 3.
+    Hand-built ones may carry any a and b, and k = 2; construction raises
+    ValueError for k < 1 or c < 1, so labels always lie in [0, c).
     """
 
     k: int
@@ -73,6 +73,12 @@ class LabelingScheme:
     a: int
     b: int
     c: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be a positive integer")
+        if self.c < 1:
+            raise ValueError(f"modulus c must be >= 1, got {self.c}")
 
 
 def _halved(n: int) -> int:
@@ -286,11 +292,6 @@ def _axis(origin: int, n: int, c: int) -> np.ndarray:
     return np.arange(start, start + n, dtype=dtype)
 
 
-def _check_modulus(c: int) -> None:
-    if c < 1:
-        raise ValueError(f"modulus c must be >= 1, got {c}")
-
-
 def label_window(scheme: LabelingScheme, x0: int, y0: int,
                  width: int, height: int) -> np.ndarray:
     """Labels of the rectangle [x0, x0+width) x [y0, y0+height).
@@ -298,8 +299,8 @@ def label_window(scheme: LabelingScheme, x0: int, y0: int,
     Returned array is indexed [row, col] where row i holds y = y0 + i and
     col j holds x = x0 + j. It is int64 while c fits, which is every
     k <= 3664061, and Python integers (object dtype) past that. Raises
-    ValueError for an empty window or a modulus c < 1, since [0, c) is
-    then empty, and TypeError for a coordinate that is not an integer.
+    ValueError for an empty window and TypeError for a coordinate that
+    is not an integer.
     """
     return _label_grid(scheme, x0, y0, width, height,
                        "int64" if scheme.c <= _INT64_MAX else "object")
@@ -320,7 +321,6 @@ def _label_grid(scheme: LabelingScheme, x0: int, y0: int,
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c
-    _check_modulus(c)
     x_labels = label_many(scheme, _axis(x0, width, c), 0).astype(dtype, copy=False)
     y_labels = label_many(scheme, 0, _axis(y0, height, c)).astype(dtype, copy=False)
     grid = x_labels[np.newaxis, :] + (y_labels - c)[:, np.newaxis]

@@ -16,9 +16,9 @@ blocks of whole columns x, about BLOCK_CELLS cells each, by one
 any k.
 Each block is a rectangle only as tall as its tallest column, and each
 cell is compared with the gap k+1-|x|-|y| it requires. A cell outside
-the diamond requires a gap of at most 0, which no label misses when
-c >= 1, since labels then lie in [0, c); so only the origin, whose
-required gap is set to 0, needs excluding.
+the diamond requires a gap of at most 0, which no label misses, since
+labels lie in [0, c); so only the origin, whose required gap is set to
+0, needs excluding.
 
 ``check_window`` brute-forces |L(u) - L(v)| over all vertex pairs of a
 finite rectangle, using nothing but label evaluation and absolute
@@ -37,10 +37,11 @@ it compare, so callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
-predicate decides it; enumeration of the c-by-c period, in row blocks of
-about BLOCK_CELLS cells, provides the independent confirmation. The
-enumeration stops after the first block that brings the attained count
-to c, which for the paper's schemes is the first block.
+predicate decides it; enumeration of the c-by-c period, in row blocks
+labelled in pieces of at most BLOCK_CELLS cells, provides the independent
+confirmation. The enumeration stops after the first row block that
+brings the attained count to c, which for the paper's schemes is the
+first row block.
 
 All checks are pure; violation lists are reported in lexicographic
 offset order, capped at a configurable maximum. The array checks import
@@ -60,7 +61,6 @@ from .scheme import (
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
     LabelingScheme,
-    _check_modulus,
     _label_grid,
     label,
     label_window,
@@ -157,13 +157,9 @@ def check_diamond(scheme: LabelingScheme,
 
     Only the first max_violations violating offsets, in lexicographic
     order, become reports; passed is False whenever any offset violates.
-    Raises ValueError, from label_window, for a modulus c < 1, whose
-    labels can be negative.
     """
     import numpy as np
 
-    if scheme.k < 1:
-        raise ValueError("k must be a positive integer")
     _check_non_negative("max_violations", max_violations)
     k = scheme.k
     violations: list[ViolationReport] = []
@@ -253,7 +249,7 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     from every label, more than any offset requires, so it never fails.
     Only an offset whose smallest gap fails computes its signed
     differences to tell its two orientations apart. Raises ValueError
-    for k < 1 or an empty window.
+    for an empty window.
     """
     import numpy as np
 
@@ -369,11 +365,9 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
                       that brings the count to c; raises BudgetExceeded
                       when c*c exceeds pair_budget.
     mode "both":      run both routes and insist they agree.
-    A negative pair_budget or a modulus c < 1, whose labels would leave
-    [0, c), raises ValueError in every mode.
+    A negative pair_budget raises ValueError in every mode.
     """
     _check_non_negative("pair_budget", pair_budget)
-    _check_modulus(scheme.c)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
     if mode == "gcd":
         return NoHoleReport(is_no_hole=(g == 1), gcd_triple=g, attained_count=None)
@@ -385,17 +379,20 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
                              pair_budget)
     import numpy as np
 
-    # Labels lie in [0, c), so histograms count them in O(c^2) at most.
-    # The period is labelled in row blocks, so memory stays O(block + c)
-    # whatever the budget. Blocks are int64: label_window only leaves
-    # int64 past k = 3664061, far past any c*c a budget could allow.
+    # Labels lie in [0, c), so they index one flag each. A row block is
+    # whole rows of BLOCK_CELLS cells at most, or one row labelled in
+    # pieces of BLOCK_CELLS cells once c exceeds it, so memory is c bytes
+    # plus one block whatever the budget. Blocks are int64: label_window
+    # only leaves int64 past k = 3664061, far past any c*c a budget
+    # could allow.
     c = scheme.c
-    rows = max(1, BLOCK_CELLS // c)
-    hits = np.zeros(c, dtype=np.int64)
+    rows, cols = max(1, BLOCK_CELLS // c), min(c, BLOCK_CELLS)
+    seen = np.zeros(c, dtype=bool)
     for y0 in range(0, c, rows):
-        block = label_window(scheme, 0, y0, c, min(rows, c - y0))
-        hits += np.bincount(block.ravel(), minlength=c)
-        count = int(np.count_nonzero(hits))
+        for x0 in range(0, c, cols):
+            seen[label_window(scheme, x0, y0, min(cols, c - x0),
+                              min(rows, c - y0))] = True
+        count = int(np.count_nonzero(seen))
         if count == c:
             break
     surjective = count == scheme.c

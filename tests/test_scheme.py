@@ -261,6 +261,19 @@ def test_label_window_rejects_a_modulus_below_one(c):
         label_window(hand_built(2, 5, c), -3, 4, 3, 2)
 
 
+@pytest.mark.parametrize("k, c, message", [
+    (0, 7, "k must be a positive integer"),
+    (-3, 7, "k must be a positive integer"),
+    (3, 0, "modulus c must be >= 1, got 0"),
+    (3, -7, "modulus c must be >= 1, got -7"),
+], ids=["k=0", "k=-3", "c=0", "c=-7"])
+def test_a_scheme_refuses_k_or_c_below_one(k, c, message):
+    # Checked once, when a scheme is built, so label, label_rows and
+    # label_many never see a modulus whose labels leave [0, c).
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabelingScheme(k, 1, "hand-built", 2, 5, c)
+
+
 def test_int64_guard_is_tight():
     # (a + b) * (c - 1) == 2**63 - 1 exactly: the int64 path's largest sum fits.
     a, b = 200, 311

@@ -336,20 +336,24 @@ def test_window_pairs_refuses_an_empty_window(size):
 
 
 @pytest.mark.parametrize("k", [0, -3])
-def test_window_and_diamond_refuse_k_below_one(monkeypatch, k):
-    # Refused before any labelling: k <= 0 used to pass with a few pairs
-    # checked, or none, and window_pairs went negative.
-    def refuse(*args):
-        raise AssertionError("labelled a window for k < 1")
-
-    monkeypatch.setattr(verifier, "label_window", refuse)
-    monkeypatch.setattr(verifier, "_label_grid", refuse)
-    s = LabelingScheme(k, 0, "h", 1, 2, 7)
+def test_window_and_diamond_refuse_k_below_one(k):
+    # k <= 0 used to pass with a few pairs checked, or none, and
+    # window_pairs went negative. No scheme can carry it, so neither
+    # check is ever handed one.
     for call in (lambda: window_pairs(k, 5, 5), lambda: window_pairs(k, 3, 1),
-                 lambda: check_diamond(s), lambda: check_window(s, 5, 5),
-                 lambda: check_window(s, 1, 1)):
+                 lambda: check_diamond(LabelingScheme(k, 0, "h", 1, 2, 7)),
+                 lambda: check_window(LabelingScheme(k, 0, "h", 1, 2, 7), 5, 5)):
         with pytest.raises(ValueError, match="^k must be a positive integer$"):
             call()
+
+
+def test_a_hand_built_k2_scheme_passes_every_audit():
+    # (2x + 3y) mod 7: k = 2 has no scheme_params case, but a scheme may
+    # carry it, and it is a valid, no-hole labeling.
+    s = LabelingScheme(2, 1, "hand-built", 2, 3, 7)
+    assert check_diamond(s).passed
+    assert check_window(s, 20, 20).passed
+    assert check_no_hole(s, "both").is_no_hole
 
 
 def test_injectivity_within_reuse_distance():
@@ -656,10 +660,17 @@ def test_diamond_memory_stays_below_four_mib():
 
 # ------------------------------------------------------------ no-hole
 
-def test_no_hole_memory_stays_below_four_mib():
-    report, peak = peak_traced_bytes(lambda: check_no_hole(scheme_params(21), "both"))
-    assert report.is_no_hole and report.attained_count == scheme_params(21).c
-    assert peak < 4 * 2**20, peak
+@pytest.mark.parametrize("k, mode, budget, mib", [
+    (21, "both", verifier.DEFAULT_PAIR_BUDGET, 4),
+    # c = 5153102: c one-byte flags plus one block of BLOCK_CELLS labels,
+    # whatever the budget.
+    (301, "enumerate", 10**14, 16),
+])
+def test_no_hole_memory_stays_bounded(k, mode, budget, mib):
+    report, peak = peak_traced_bytes(lambda: check_no_hole(scheme_params(k), mode,
+                                                           budget))
+    assert report.is_no_hole and report.attained_count == scheme_params(k).c
+    assert peak < mib * 2**20, peak
 
 
 def test_no_hole_enumeration_stops_once_every_label_is_seen(monkeypatch):
@@ -681,6 +692,14 @@ def test_no_hole_enumeration_stops_once_every_label_is_seen(monkeypatch):
     assert check_no_hole(holey, "enumerate").attained_count == 500
     assert len(calls) == -(-holey.c // rows) > 1
     assert sum(args[4] for args in calls) == holey.c
+    # c > BLOCK_CELLS and gcd(a, c) = 2: two rows, each labelled in pieces
+    # of at most BLOCK_CELLS cells.
+    calls.clear()
+    wide = LabelingScheme(3, 1, "h", 2, 1, 300002)
+    assert check_no_hole(wide, "enumerate", wide.c**2).attained_count == wide.c
+    assert [args[2] for args in calls] == [0, 0, 0, 1, 1, 1]
+    assert all(args[3] * args[4] <= verifier.BLOCK_CELLS for args in calls)
+    assert sum(args[3] for args in calls) == 2 * wide.c
 
 
 def test_no_hole_k3_both_modes():
