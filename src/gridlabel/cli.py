@@ -25,9 +25,11 @@ Exit codes are a stable contract: 0 = success / all checks passed,
 a request over a budget (verifier.BudgetExceeded, raised before any
 work): window cells or bounds rows over MAX_OUTPUT_ROWS, a diamond over
 MAX_DIAMOND_OFFSETS, a window check over verifier.window_pair_budget
-pairs, or a no-hole enumeration over its pair budget. A reader that
-closes stdout early (gridlabel ... | head) gets 141, 128 + SIGPIPE, and
-nothing on stderr: no check failed.
+pairs, or a no-hole enumeration over its pair budget; also 2 for an
+array too large to allocate (MemoryError), such as the no-hole flags (c
+bytes) under a raised --pair-budget. A reader that closes stdout early
+(gridlabel ... | head) gets 141, 128 + SIGPIPE, and nothing on stderr:
+no check failed.
 
 CSV output is RFC-4180-style with a mandatory header row and LF line
 endings. PGM output is plain P2 with maxval c-1 (a visualization aid,
@@ -397,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         return 141
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

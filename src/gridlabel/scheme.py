@@ -159,18 +159,19 @@ _INT64_MAX = 2**63 - 1
 def _int64_safe(scheme: LabelingScheme) -> bool:
     # The int64 path evaluates ((a%c)*xr + (b%c)*yr) % c with 0 <= xr, yr < c,
     # so its largest intermediate is the sum before the final reduction,
-    # at most (a%c + b%c)*(c-1).
+    # at most (a%c + b%c)*(c-1). c must fit as well: with a = b = 0 (mod c)
+    # that bound holds at any c, but np.int64(c) would overflow.
     a, b, c = scheme.a, scheme.b, scheme.c
-    return (a % c + b % c) * (c - 1) <= _INT64_MAX
+    return c <= _INT64_MAX and (a % c + b % c) * (c - 1) <= _INT64_MAX
 
 
 def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     """Vectorized label evaluation over integer coordinate arrays.
 
-    xs and ys broadcast together. Integer arrays are reduced mod c first,
-    so the int64 path is exact whenever _int64_safe holds; otherwise the
-    labels come from one Python-integer (object dtype) array expression.
-    Object arrays must hold integers.
+    xs and ys broadcast together. While _int64_safe holds, integer arrays
+    are reduced mod c and labelled exactly in int64; otherwise the labels
+    come from one Python-integer (object dtype) array expression on the
+    coordinates as given. Object arrays must hold integers.
     """
     import numpy as np
 
@@ -179,12 +180,8 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     if xs.dtype.kind == "f" or ys.dtype.kind == "f":
         raise TypeError("coordinates must be integers")
     a, b, c = scheme.a, scheme.b, scheme.c
-    ints = xs.dtype.kind in "iu" and ys.dtype.kind in "iu"
-    if ints and c <= _INT64_MAX:
-        if _int64_safe(scheme):
-            return _label_int64(xs, ys, a % c, b % c, c)
-        xs = _reduced(xs, c)
-        ys = _reduced(ys, c)
+    if xs.dtype.kind in "iu" and ys.dtype.kind in "iu" and _int64_safe(scheme):
+        return _label_int64(xs, ys, a % c, b % c, c)
     return (a * _as_python_ints(xs) + b * _as_python_ints(ys)) % c
 
 
@@ -217,27 +214,19 @@ def _label_int64(xs: np.ndarray, ys: np.ndarray, a: int, b: int,
 def _term(values: np.ndarray, coef: int, c: int):
     """coef * (values mod c): a Python integer for a 0-d operand, else a
     new int64 array."""
-    if values.ndim == 0:
-        return coef * (int(values) % c)
-    reduced = _reduced(values, c)
-    reduced *= coef
-    return reduced
-
-
-def _reduced(values: np.ndarray, c: int):
-    """values mod c as a new int64 array, or an np.int64 for a 0-d operand."""
     import numpy as np
 
     if values.ndim == 0:
-        return np.int64(int(values) % c)
+        return coef * (int(values) % c)
     # A numpy scalar modulus widens the result: with a Python int, NEP 50
     # makes narrow arrays (int32, uint8, ...) raise OverflowError once c
     # exceeds their range. uint64 is divided as uint64, so values past
     # 2^63-1 are reduced exactly; the remainders in [0, c) read the same
     # as int64.
-    if values.dtype == np.uint64:
-        return _floor_mod(values, np.uint64(c)).view(np.int64)
-    return _floor_mod(values, np.int64(c))
+    modulus = (np.uint64 if values.dtype == np.uint64 else np.int64)(c)
+    reduced = _floor_mod(values, modulus).view(np.int64)
+    reduced *= coef
+    return reduced
 
 
 # Below this many elements one np.mod call costs less than the three of
@@ -251,12 +240,11 @@ def _floor_mod(values: np.ndarray, modulus, out=None) -> np.ndarray:
 
     This is np.mod's floored remainder, but numpy divides by a scalar
     with a precomputed reciprocal, which np.mod does not. The product can
-    wrap in int64 next to INT64_MIN (next to INT64_MAX for a negative
-    modulus). The subtraction then wraps back, and the result is exact
-    because it lies between 0 and the modulus. Only arrays wrap silently:
-    numpy scalars warn on overflow, so 0-d operands are reduced in Python
-    integers instead. Arrays under _FLOOR_MOD_MIN_SIZE elements take one
-    np.remainder call.
+    wrap in int64 next to INT64_MIN. The subtraction then wraps back, and
+    the result is exact because it lies between 0 and the modulus. Only
+    arrays wrap silently: numpy scalars warn on overflow, so 0-d operands
+    are reduced in Python integers instead. Arrays under
+    _FLOOR_MOD_MIN_SIZE elements take one np.remainder call.
     """
     import numpy as np
 

@@ -718,6 +718,15 @@ def test_nohole_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_nohole_flags_no_memory_can_hold_exit_2(capsys):
+    # The budget passes c^2, but c = 187501000002000002 flags are more
+    # bytes than any 64-bit address space: an error, not a violation.
+    code, out, err = run_cli(capsys, ["nohole", "--k", "1000001", "--mode",
+                                      "enumerate", "--pair-budget", str(10**40)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # --------------------------------------------------------------- search
 
 def test_search_2x2_k2(capsys):

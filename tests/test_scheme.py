@@ -194,7 +194,8 @@ def assert_matches_scalar(s, xs, ys):
 
 
 @pytest.mark.parametrize("k, dtype", [(2253, np.int64), (2254, np.int64),
-                                      (9189, np.int64), (9190, object)])
+                                      (9189, np.int64), (9190, object),
+                                      (3664061, object), (3664062, object)])
 def test_label_many_exact_at_path_boundary(k, dtype):
     s = scheme_params(k)
     xs = [x for x in EDGE_COORDS for _ in EDGE_COORDS]
@@ -254,13 +255,6 @@ def test_label_window_matches_scalar(a, b, c, x0, y0, w, h):
     assert_window_matches_scalar(hand_built(a, b, c), x0, y0, w, h)
 
 
-@pytest.mark.parametrize("c", [0, -7])
-def test_label_window_rejects_a_modulus_below_one(c):
-    # The conditional subtract needs axis labels in [0, c).
-    with pytest.raises(ValueError, match="modulus"):
-        label_window(hand_built(2, 5, c), -3, 4, 3, 2)
-
-
 @pytest.mark.parametrize("k, c, message", [
     (0, 7, "k must be a positive integer"),
     (-3, 7, "k must be a positive integer"),
@@ -283,6 +277,16 @@ def test_int64_guard_is_tight():
     ys = [c - 1, 0, INT64_MIN, INT64_MAX, c - 1]
     assert assert_matches_scalar(hand_built(a, b, c), xs, ys).dtype == np.int64
     assert assert_matches_scalar(hand_built(a, b, c + 1), xs, ys).dtype == object
+
+
+def test_label_many_with_c_past_int64_and_zero_coefficients():
+    # a = b = 0 (mod c) keeps (a%c + b%c)(c-1) at 0, but c = 2^64 is no
+    # int64, so the labels are Python-integer zeros.
+    s = hand_built(2**64, 2**65, 2**64)
+    xs = np.array(EDGE_COORDS, dtype=np.int64)
+    out = label_many(s, xs, xs[::-1])
+    assert out.dtype == object
+    assert out.tolist() == [0] * len(EDGE_COORDS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,9 +317,10 @@ NARROW_DTYPES = [np.int8, np.uint8, np.int16, np.uint16,
 
 
 @pytest.mark.parametrize("dtype", NARROW_DTYPES)
-@pytest.mark.parametrize("k", [3, 2254, 9189, 9190])
+@pytest.mark.parametrize("k", [3, 2254, 9189, 9190, 3664061, 3664062])
 def test_label_many_exact_for_every_integer_dtype(k, dtype):
-    # c exceeds the range of the narrow dtypes from k = 2254 on.
+    # c exceeds the range of the narrow dtypes from k = 2254 on, and of
+    # int64 from k = 3664062 on, below uint64's largest values.
     s = scheme_params(k)
     info = np.iinfo(dtype)
     edges = [info.min, info.min + 1, 0, 1, info.max - 1, info.max]

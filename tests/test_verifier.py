@@ -209,13 +209,6 @@ def test_negative_max_violations_rejected(check):
         check(mutant(3, 1, 1, 12), -1)
 
 
-@pytest.mark.parametrize("c", [0, -7])
-def test_diamond_rejects_a_modulus_below_one(c):
-    # Labels in (c, 0] would fail cells off the diamond, which need no gap.
-    with pytest.raises(ValueError, match="modulus"):
-        check_diamond(mutant(3, 2, 5, c))
-
-
 # ------------------------------------------------------------ check_window
 
 def test_window_passes_for_real_schemes():
@@ -336,15 +329,12 @@ def test_window_pairs_refuses_an_empty_window(size):
 
 
 @pytest.mark.parametrize("k", [0, -3])
-def test_window_and_diamond_refuse_k_below_one(k):
-    # k <= 0 used to pass with a few pairs checked, or none, and
-    # window_pairs went negative. No scheme can carry it, so neither
-    # check is ever handed one.
-    for call in (lambda: window_pairs(k, 5, 5), lambda: window_pairs(k, 3, 1),
-                 lambda: check_diamond(LabelingScheme(k, 0, "h", 1, 2, 7)),
-                 lambda: check_window(LabelingScheme(k, 0, "h", 1, 2, 7), 5, 5)):
+def test_window_pairs_refuses_k_below_one(k):
+    # k <= 0 used to send window_pairs negative. No scheme can carry it
+    # (test_a_scheme_refuses_k_or_c_below_one), so no check is handed one.
+    for width, height in [(5, 5), (3, 1)]:
         with pytest.raises(ValueError, match="^k must be a positive integer$"):
-            call()
+            window_pairs(k, width, height)
 
 
 def test_a_hand_built_k2_scheme_passes_every_audit():
@@ -744,14 +734,6 @@ def test_no_hole_budget():
 def test_no_hole_rejects_negative_pair_budget(mode):
     with pytest.raises(ValueError, match="pair_budget"):
         check_no_hole(scheme_params(3), mode, pair_budget=-5)
-
-
-@pytest.mark.parametrize("mode", ["gcd", "enumerate", "both"])
-@pytest.mark.parametrize("c", [0, -7])
-def test_no_hole_rejects_a_modulus_below_one(mode, c):
-    # gcd(2, 5, c) = 1 would call both moduli no-hole.
-    with pytest.raises(ValueError, match=f"^modulus c must be >= 1, got {c}$"):
-        check_no_hole(LabelingScheme(3, 1, "h", 2, 5, c), mode)
 
 
 def test_no_hole_default_budget_is_four_million_evaluations():
