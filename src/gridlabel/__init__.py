@@ -26,7 +26,6 @@ from .scheme import (
     EVEN_K_ODD_P,
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
-    PARITY_CASES,
     LabelingScheme,
     UnsupportedK,
     label,
@@ -40,9 +39,7 @@ from .search import (
     InvalidPatch,
     Patch,
     PatchSearchResult,
-    clique_lower_bound,
     exact_span,
-    greedy_certificate,
     probe_feasible,
 )
 from .verifier import (
@@ -64,8 +61,7 @@ __all__ = [
     "Vertex", "sphere", "ball", "t_set",
     "LabelingScheme", "UnsupportedK", "scheme_params", "label",
     "label_many", "label_rows", "label_window", "lambda_ub",
-    "PARITY_CASES", "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P",
-    "EVEN_K_EVEN_P",
+    "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P", "EVEN_K_EVEN_P",
     "ViolationReport", "VerificationVerdict", "NoHoleReport",
     "BudgetExceeded", "label_difference",
     "check_diamond", "check_window", "window_pairs", "check_no_hole",
@@ -74,5 +70,4 @@ __all__ = [
     "triangular_convolution", "ratio", "bounds_table", "EVEN_K", "ODD_K",
     "Patch", "PatchSearchResult", "InvalidPatch",
     "exact_span", "probe_feasible",
-    "clique_lower_bound", "greedy_certificate",
 ]

@@ -183,9 +183,11 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
     The window check covers [x0, x0 + width) x [y0, y0 + height). Reports
     name the origin only when it is not 0,0. Raises BudgetExceeded for a
     diamond, window or window check over its budget, before checking or
-    writing anything.
+    writing anything, and ValueError for an unknown mode.
     """
     _check_format(fmt)
+    if mode not in ("diamond", "window", "both"):
+        raise ValueError(f"unknown verify mode {mode!r}")
     diamond, window = mode in ("diamond", "both"), mode in ("window", "both")
     if diamond:
         _check_size("diamond", 2 * scheme.k * (scheme.k + 1), "offsets",

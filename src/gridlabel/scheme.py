@@ -44,9 +44,6 @@ ODD_K_EVEN_P = "odd-k-even-p"
 EVEN_K_ODD_P = "even-k-odd-p"
 EVEN_K_EVEN_P = "even-k-even-p"
 
-PARITY_CASES = (ODD_K_ODD_P, ODD_K_EVEN_P, EVEN_K_ODD_P, EVEN_K_EVEN_P)
-
-
 class UnsupportedK(ValueError):
     """No coefficient case covers this k (only k = 2 is excluded)."""
 
@@ -229,11 +226,6 @@ def _term(values: np.ndarray, coef: int, c: int):
     return reduced
 
 
-# Below this many elements one np.mod call costs less than the three of
-# the floor-division route; they cross at about 1000 int64 elements.
-_FLOOR_MOD_MIN_SIZE = 512
-
-
 def _floor_mod(values: np.ndarray, modulus, out=None) -> np.ndarray:
     """values mod modulus (a numpy scalar) as values - (values // modulus)
     * modulus, written into out or a new array.
@@ -243,13 +235,10 @@ def _floor_mod(values: np.ndarray, modulus, out=None) -> np.ndarray:
     wrap in int64 next to INT64_MIN. The subtraction then wraps back, and
     the result is exact because it lies between 0 and the modulus. Only
     arrays wrap silently: numpy scalars warn on overflow, so 0-d operands
-    are reduced in Python integers instead. Arrays under
-    _FLOOR_MOD_MIN_SIZE elements take one np.remainder call.
+    are reduced in Python integers instead.
     """
     import numpy as np
 
-    if values.size < _FLOOR_MOD_MIN_SIZE:
-        return np.remainder(values, modulus, out=out)
     quotient = np.floor_divide(values, modulus, out=out)
     quotient *= modulus
     return np.subtract(values, quotient, out=quotient)

@@ -7,7 +7,7 @@ separation requirement against an already-labeled vertex. The search is
 independent of the modular schemes, so it serves as ground truth for
 them on desk-scale instances (at most 64 vertices).
 
-Every entry point takes one constraint list from ``_gap_constraints``,
+Both entry points take one constraint list from ``_gap_constraints``,
 which first refuses k < 1 and patches over the vertex cap; ``exact_span``
 builds it once for the greedy start, the clique bound and every probe.
 
@@ -89,7 +89,7 @@ def _gap_constraints(patch: Patch, k: int) -> _Constraints:
     return cons
 
 
-def clique_lower_bound(patch: Patch, k: int) -> int:
+def _clique(cons: _Constraints, k: int) -> int:
     """Size of the largest in-patch ball of radius floor(k/2).
 
     Such a ball is pairwise within distance k, so all its vertices need
@@ -98,10 +98,6 @@ def clique_lower_bound(patch: Patch, k: int) -> int:
     plus every partner at distance <= floor(k/2), i.e. with a required
     gap >= k + 1 - floor(k/2).
     """
-    return _clique(_gap_constraints(patch, k), k)
-
-
-def _clique(cons: _Constraints, k: int) -> int:
     least_gap = k + 1 - k // 2
     sizes = [1] * len(cons)
     for i, row in enumerate(cons):
@@ -112,17 +108,13 @@ def _clique(cons: _Constraints, k: int) -> int:
     return max(sizes)
 
 
-def greedy_certificate(patch: Patch, k: int) -> dict[tuple[int, int], int]:
+def _greedy(patch: Patch, cons: _Constraints) -> dict[tuple[int, int], int]:
     """First-fit row-major labeling; always feasible, usually not minimal.
 
     Each earlier neighbour j blocks the labels [l_j - gap + 1, l_j + gap).
     Sweeping those bands by lower end finds the smallest uncovered label
     in O(deg log deg) per vertex, whatever the size of the labels.
     """
-    return _greedy(patch, _gap_constraints(patch, k))
-
-
-def _greedy(patch: Patch, cons: _Constraints) -> dict[tuple[int, int], int]:
     labels: list[int] = []
     for row in cons:
         lab = 0
@@ -131,10 +123,6 @@ def _greedy(patch: Patch, cons: _Constraints) -> dict[tuple[int, int], int]:
                 break
             lab = max(lab, end)
         labels.append(lab)
-    return _certificate(patch, labels)
-
-
-def _certificate(patch: Patch, labels: list[int]) -> dict[tuple[int, int], int]:
     return dict(zip(patch.vertices(), labels))
 
 
@@ -150,16 +138,9 @@ def probe_feasible(patch: Patch, k: int, lam: int,
     labelings, so any feasible instance has a solution in the restricted
     space.
 
-    Each vertex's domain is a mask of its free labels, capped at
-    min(lam, node_budget + 1) bits, since reaching any label past that
-    exceeds the budget; the next candidate is its lowest set bit, cleared
-    once tried. The union of the bands blocked by the vertex's earlier
-    neighbours other than the previous vertex is built once per scan of
-    the previous vertex and reused for each of its candidates. A node is
+    Domains are the free-label masks of the module docstring. A node is
     one candidate label considered at one vertex, blocked labels skipped
-    included, so the count equals that of a label-by-label scan. Masks
-    stay within a few times min(lam, node_budget) bits, so the cost does
-    not grow with k.
+    included, so the count equals that of a label-by-label scan.
     """
     return _probe(patch, _gap_constraints(patch, k), lam, node_budget)
 
@@ -216,7 +197,7 @@ def _probe(patch: Patch, cons: _Constraints, lam: int, node_budget: int):
             labels[i] = lab
             i += 1
             if i == n:
-                return True, _certificate(patch, labels), nodes
+                return True, dict(zip(patch.vertices(), labels)), nodes
             if start == 0:  # vertex i-1's first candidate of this scan
                 union = 0
                 for j, b in far[i]:

@@ -52,6 +52,7 @@ gcd route of ``check_no_hole`` needs none.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -144,8 +145,10 @@ def label_difference(scheme: LabelingScheme, u, v) -> int:
     Both labels live in [0, c), so once the arguments are ordered
     larger-label-first their gap equals the non-negative remainder of the
     difference, which is exactly the label of u - v. Arguments are
-    reordered internally; equal labels give 0.
+    reordered internally; equal labels give 0. Coordinates are read with
+    operator.index, as in label, so numpy integers cannot wrap.
     """
+    u, v = tuple(map(operator.index, u)), tuple(map(operator.index, v))
     if label(scheme, u) < label(scheme, v):
         u, v = v, u
     return label(scheme, (u[0] - v[0], u[1] - v[1]))

@@ -926,13 +926,23 @@ def test_cli_arguments_exit_cleanly(argv, fmt):
 ])
 def test_writers_reject_an_unknown_format_first(monkeypatch, writer, args):
     # argparse's choices hide this from the command line, not from callers.
+    assert_rejected_before_work(monkeypatch, "unknown format", writer, *args)
+
+
+def test_write_verify_rejects_an_unknown_mode_first(monkeypatch):
+    assert_rejected_before_work(monkeypatch, "unknown verify mode 'bogus'",
+                                write_verify, scheme_params(7), "bogus",
+                                100, 100, "ascii")
+
+
+def assert_rejected_before_work(monkeypatch, message, writer, *args):
     def no_work(*_args, **_kwargs):
-        raise AssertionError("work started before the format was checked")
+        raise AssertionError("work started before the arguments were checked")
 
     for name in ("check_diamond", "check_window", "check_no_hole",
                  "exact_span", "label_rows", "bounds_records"):
         monkeypatch.setattr(cli, name, no_work)
     out = Chunks()
-    with pytest.raises(ValueError, match="unknown format"):
+    with pytest.raises(ValueError, match=message):
         writer(out, *args)
     assert out.chunks == []

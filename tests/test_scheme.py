@@ -21,7 +21,6 @@ from gridlabel import (
     lambda_ub,
     scheme_params,
 )
-from gridlabel import scheme as scheme_module
 
 coords = st.integers(min_value=-10**9, max_value=10**9)
 supported_k = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 40, 41])
@@ -332,10 +331,9 @@ def test_label_many_exact_for_every_integer_dtype(k, dtype):
 
 # ------------------------------------------------- in-place int64 kernel
 
-# Past scheme._FLOOR_MOD_MIN_SIZE elements the int64 path reduces by floor
-# division, whose (v // c) * c wraps next to INT64_MIN; fewer take one
-# np.mod call. The kernel tests run both.
-KERNEL_SIZES = [9, 2 * scheme_module._FLOOR_MOD_MIN_SIZE]
+# The int64 path reduces by floor division, whose (v // c) * c wraps next
+# to INT64_MIN. The kernel tests run it on a short and a long array.
+KERNEL_SIZES = [9, 1024]
 
 
 def sized(values, size, dtype=np.int64):

@@ -9,12 +9,10 @@ import pytest
 from gridlabel import (
     InvalidPatch,
     Patch,
-    clique_lower_bound,
     exact_span,
-    greedy_certificate,
     probe_feasible,
 )
-from gridlabel.search import DEFAULT_NODE_BUDGET
+from gridlabel.search import DEFAULT_NODE_BUDGET, _clique, _gap_constraints, _greedy
 
 
 def valid_assignment(cells, labels, k):
@@ -35,6 +33,15 @@ def brute_minimal_lambda(patch, k, lam_cap):
             if valid_assignment(cells, asg, k):
                 return lam
     return None
+
+
+# exact_span's greedy start and clique bound, from a patch and k.
+def greedy(patch, k):
+    return _greedy(patch, _gap_constraints(patch, k))
+
+
+def clique(patch, k):
+    return _clique(_gap_constraints(patch, k), k)
 
 
 def check_certificate(patch, k, cert, lam):
@@ -179,7 +186,7 @@ def test_probe_memory_follows_budget_not_k_or_lam():
 ])
 def test_greedy_matches_reference(rows, cols, k):
     patch = Patch(rows, cols)
-    assert greedy_certificate(patch, k) == reference_greedy_certificate(patch, k)
+    assert greedy(patch, k) == reference_greedy_certificate(patch, k)
 
 
 # Every search fixture of the benchmark; the node counts sum to 9 045 428.
@@ -279,19 +286,19 @@ def test_deterministic_certificates():
 def test_budget_exhaustion_falls_back_to_greedy():
     res = exact_span(Patch(3, 3), 2, node_budget=5)
     assert not res.exhausted
-    greedy = greedy_certificate(Patch(3, 3), 2)
-    assert res.certificate == greedy
-    assert res.minimal_lambda == max(greedy.values()) + 1
+    first_fit = greedy(Patch(3, 3), 2)
+    assert res.certificate == first_fit
+    assert res.minimal_lambda == max(first_fit.values()) + 1
     check_certificate(Patch(3, 3), 2, res.certificate, res.minimal_lambda)
     exact = exact_span(Patch(3, 3), 2)
     assert exact.minimal_lambda <= res.minimal_lambda
 
 
 def test_clique_lower_bound_values():
-    assert clique_lower_bound(Patch(3, 3), 1) == 1   # radius 0
-    assert clique_lower_bound(Patch(2, 2), 2) == 3   # corner ball of radius 1
-    assert clique_lower_bound(Patch(3, 3), 2) == 5   # centered ball of radius 1
-    assert clique_lower_bound(Patch(4, 4), 4) == 11  # radius-2 ball clipped
+    assert clique(Patch(3, 3), 1) == 1   # radius 0
+    assert clique(Patch(2, 2), 2) == 3   # corner ball of radius 1
+    assert clique(Patch(3, 3), 2) == 5   # centered ball of radius 1
+    assert clique(Patch(4, 4), 4) == 11  # radius-2 ball clipped
 
 
 def test_invalid_patches():
@@ -308,12 +315,13 @@ def test_invalid_patches():
 
 
 
-# Every public entry point, called with a patch and k only.
+# Every entry point and the greedy start and clique bound of exact_span,
+# called with a patch and k only.
 ENTRY_POINTS = {
     "exact_span": exact_span,
     "probe_feasible": lambda patch, k: probe_feasible(patch, k, 10),
-    "greedy_certificate": greedy_certificate,
-    "clique_lower_bound": clique_lower_bound,
+    "greedy_certificate": greedy,
+    "clique_lower_bound": clique,
 }
 each_entry_point = pytest.mark.parametrize("entry", ENTRY_POINTS.values(),
                                            ids=ENTRY_POINTS)
@@ -345,5 +353,6 @@ ALL_PATCHES = [Patch(rows, cols) for rows in range(1, 65)
 @pytest.mark.parametrize("k", range(1, 10))
 def test_clique_and_greedy_match_reference_on_every_patch(k):
     for p in ALL_PATCHES:
-        assert clique_lower_bound(p, k) == reference_clique_lower_bound(p, k), p
-        assert greedy_certificate(p, k) == reference_greedy_certificate(p, k), p
+        cons = _gap_constraints(p, k)
+        assert _clique(cons, k) == reference_clique_lower_bound(p, k), p
+        assert _greedy(p, cons) == reference_greedy_certificate(p, k), p

@@ -147,6 +147,18 @@ def test_label_difference_examples():
     assert label_difference(s7, (1, 0), (0, 0)) == 9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_label_difference_exact_for_numpy_coordinates():
+    # 2^62 - (-2^62) leaves int64: the coordinates must be subtracted as
+    # Python integers, not as np.int64.
+    s7 = scheme_params(7)
+    u, v = (np.int64(2**62), np.int64(0)), (np.int64(-2**62), np.int64(0))
+    expected = abs(label(s7, (2**62, 0)) - label(s7, (-2**62, 0)))
+    assert expected == 4
+    assert label_difference(s7, u, v) == expected
+    assert label_difference(s7, v, u) == expected
+
+
 @settings(max_examples=300)
 @given(
     st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9]),
