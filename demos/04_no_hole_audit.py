@@ -2,7 +2,8 @@
 
 The attained label set of (a*x + b*y) mod c is the subgroup of Z_c
 generated by gcd(a, b, c), so gcd == 1 decides the property instantly;
-enumerating one full c-by-c period confirms it independently.
+enumerating the c-by-c period row by row, until every label is seen,
+confirms it independently.
 """
 
 import math

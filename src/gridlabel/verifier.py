@@ -37,11 +37,12 @@ it compare, so callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
-predicate decides it; enumeration of the c-by-c period, in row blocks
-labelled in pieces of at most BLOCK_CELLS cells, provides the independent
-confirmation. The enumeration stops after the first row block that
-brings the attained count to c, which for the paper's schemes is the
-first row block.
+predicate decides it; enumeration of the c-by-c period, one row at a
+time in pieces of at most BLOCK_CELLS cells, provides the independent
+confirmation. The enumeration stops after the first row that brings the
+attained count to c. Row y attains the coset b*y + gcd(a, c)*Z_c, so a
+no-hole scheme takes exactly gcd(a, c) rows, and for the paper's schemes
+gcd(a, c) is 1, 5, 7 or 13 (tested for every supported k <= 20000).
 
 All checks are pure; violation lists are reported in lexicographic
 offset order, capped at a configurable maximum. The array checks import
@@ -86,8 +87,8 @@ DEFAULT_PAIR_BUDGET = 4_000_000
 #: 0.1 s at k = 3000000 and at 3664061.
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
-#: Cells per block of the diamond check and of the no-hole enumeration,
-#: and per gap chunk of check_window's subtract/abs/min calls. Its bands
+#: Cells per block of the diamond check, per piece of a no-hole row, and
+#: per gap chunk of check_window's subtract/abs/min calls. Its bands
 #: of base rows hold 2*BLOCK_CELLS bytes: BLOCK_CELLS int16 labels, fewer
 #: wider ones.
 BLOCK_CELLS = 1 << 17
@@ -367,10 +368,11 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     """Audit that every label in {0, ..., c-1} is attained.
 
     mode "gcd":       no-hole iff gcd(a, b, c) == 1 (subgroup argument).
-    mode "enumerate": evaluate the c-by-c period in row blocks and count
-                      distinct labels, stopping after the first block
-                      that brings the count to c; raises BudgetExceeded
-                      when c*c exceeds pair_budget.
+    mode "enumerate": label the c-by-c period row by row and count
+                      distinct labels, stopping after the first row
+                      that brings the count to c, row gcd(a, c) - 1 for
+                      the paper's schemes; raises BudgetExceeded when
+                      c*c exceeds pair_budget.
     mode "both":      run both routes and insist they agree.
     A negative pair_budget raises ValueError in every mode.
     """
@@ -387,19 +389,16 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     import numpy as np
 
     # Labels lie in [0, c), so they index one flag each; the flags take c
-    # bytes. A row block is whole rows of BLOCK_CELLS cells at most, or
-    # one row labelled in pieces of BLOCK_CELLS cells once c exceeds it,
-    # so memory is c bytes plus one block whatever the budget. Blocks are
+    # bytes. Each row is labelled in pieces of at most BLOCK_CELLS cells,
+    # so memory is c bytes plus one piece whatever the budget. Pieces are
     # int64: label_window only leaves int64 past c = 2^63-1, where numpy
     # refuses the flag array (ValueError). A flag array that no memory
     # can hold raises MemoryError; the CLI reports both and exits 2.
     c = scheme.c
-    rows, cols = max(1, BLOCK_CELLS // c), min(c, BLOCK_CELLS)
     seen = np.zeros(c, dtype=bool)
-    for y0 in range(0, c, rows):
-        for x0 in range(0, c, cols):
-            seen[label_window(scheme, x0, y0, min(cols, c - x0),
-                              min(rows, c - y0))] = True
+    for y in range(c):
+        for x0 in range(0, c, BLOCK_CELLS):
+            seen[label_window(scheme, x0, y, min(BLOCK_CELLS, c - x0), 1)] = True
         count = int(np.count_nonzero(seen))
         if count == c:
             break

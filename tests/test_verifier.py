@@ -675,7 +675,9 @@ def test_no_hole_memory_stays_bounded(k, mode, budget, mib):
     assert peak < mib * 2**20, peak
 
 
-def test_no_hole_enumeration_stops_once_every_label_is_seen(monkeypatch):
+@pytest.fixture
+def window_calls(monkeypatch):
+    """The argument tuples of every label_window call the verifier makes."""
     calls = []
 
     def counted(*args):
@@ -683,16 +685,21 @@ def test_no_hole_enumeration_stops_once_every_label_is_seen(monkeypatch):
         return label_window(*args)
 
     monkeypatch.setattr(verifier, "label_window", counted)
+    return calls
+
+
+def test_no_hole_enumeration_stops_once_every_label_is_seen(window_calls):
+    calls = window_calls
     s = scheme_params(21)
     assert s.c * s.c > 20 * verifier.BLOCK_CELLS
     assert check_no_hole(s, "both").attained_count == s.c
     assert len(calls) == 1
-    # gcd(a, b, c) = 2: only even labels, so every block of the period runs.
+    # gcd(a, b, c) = 2: only even labels, so every row of the period runs.
     calls.clear()
     holey = mutant(3, 2, 4, 1000)
-    rows = verifier.BLOCK_CELLS // holey.c
     assert check_no_hole(holey, "enumerate").attained_count == 500
-    assert len(calls) == -(-holey.c // rows) > 1
+    assert len(calls) == holey.c
+    assert all(args[4] == 1 for args in calls)
     assert sum(args[4] for args in calls) == holey.c
     # c > BLOCK_CELLS and gcd(a, c) = 2: two rows, each labelled in pieces
     # of at most BLOCK_CELLS cells.
@@ -702,6 +709,28 @@ def test_no_hole_enumeration_stops_once_every_label_is_seen(monkeypatch):
     assert [args[2] for args in calls] == [0, 0, 0, 1, 1, 1]
     assert all(args[3] * args[4] <= verifier.BLOCK_CELLS for args in calls)
     assert sum(args[3] for args in calls) == 2 * wide.c
+
+
+@pytest.mark.parametrize("k", [k for k in range(1, 61) if k != 2] + [63, 115])
+def test_no_hole_enumeration_labels_gcd_a_c_rows(window_calls, k):
+    # Row y attains b*y + gcd(a, c)*Z_c, so rows 0 .. gcd(a, c) - 1 attain
+    # every label and no fewer do; k = 11, 63 and 115 have gcd(a, c) = 13.
+    s = scheme_params(k)
+    assert check_no_hole(s, "enumerate", s.c**2).attained_count == s.c
+    pieces = -(-s.c // verifier.BLOCK_CELLS)
+    rows = math.gcd(s.a, s.c)
+    assert [args[2] for args in window_calls] == [y for y in range(rows)
+                                                  for _ in range(pieces)]
+    assert all(args[4] == 1 and args[3] <= verifier.BLOCK_CELLS
+               for args in window_calls)
+    assert sum(args[3] for args in window_calls) == rows * s.c
+
+
+def test_gcd_a_c_is_at_most_thirteen_up_to_k_20000():
+    # Bounds the rows the no-hole enumeration labels for a paper scheme.
+    gcds = {math.gcd(s.a, s.c)
+            for s in (scheme_params(k) for k in range(1, 20_001) if k != 2)}
+    assert gcds == {1, 5, 7, 13}
 
 
 def test_no_hole_k3_both_modes():
