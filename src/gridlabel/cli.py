@@ -53,8 +53,8 @@ from .search import DEFAULT_NODE_BUDGET, Patch, exact_span
 from .verifier import (
     DEFAULT_MAX_VIOLATIONS,
     DEFAULT_PAIR_BUDGET,
-    BudgetExceeded,
     VerificationVerdict,
+    _check_size,
     check_diamond,
     check_no_hole,
     check_window,
@@ -72,11 +72,6 @@ MAX_DIAMOND_OFFSETS = 2 * 9189 * 9190
 _FORMAT = {"choices": ["ascii", "csv", "json"], "default": "ascii"}
 _LABEL_FORMATS = ["ascii", "csv", "json", "pgm"]
 _Y = "\0"  # stands for y in a label row template; no number contains it
-
-
-def _check_size(what: str, count: int, unit: str, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceeded(what, count, unit, budget)
 
 
 def _check_format(fmt: str, choices: list[str] = _FORMAT["choices"]) -> None:

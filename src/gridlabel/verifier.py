@@ -37,12 +37,11 @@ it compare, so callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
 label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
-predicate decides it; enumeration of the c-by-c period, one row at a
-time in pieces of at most BLOCK_CELLS cells, provides the independent
-confirmation. The enumeration stops after the first row that brings the
-attained count to c. Row y attains the coset b*y + gcd(a, c)*Z_c, so a
-no-hole scheme takes exactly gcd(a, c) rows, and for the paper's schemes
-gcd(a, c) is 1, 5, 7 or 13 (tested for every supported k <= 20000).
+predicate decides it; labelling the c-by-c period one row at a time, in
+pieces of at most BLOCK_CELLS cells, confirms it independently, and
+stops after the first row that adds no label or brings the count to c:
+gcd(a, c) rows for a no-hole scheme (1, 5, 7 or 13 for every supported
+k <= 20000) and gcd(a, c)/gcd(a, b, c) + 1 for one with a hole.
 
 All checks are pure; violation lists are reported in lexicographic
 offset order, capped at a configurable maximum. The array checks import
@@ -109,6 +108,11 @@ class BudgetExceeded(ValueError):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what} needs {needed} {unit}, budget is {budget}")
+
+
+def _check_size(what: str, count: int, unit: str, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceeded(what, count, unit, budget)
 
 
 @dataclass(frozen=True)
@@ -368,13 +372,16 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     """Audit that every label in {0, ..., c-1} is attained.
 
     mode "gcd":       no-hole iff gcd(a, b, c) == 1 (subgroup argument).
-    mode "enumerate": label the c-by-c period row by row and count
-                      distinct labels, stopping after the first row
-                      that brings the count to c, row gcd(a, c) - 1 for
-                      the paper's schemes; raises BudgetExceeded when
-                      c*c exceeds pair_budget.
+    mode "enumerate": label the c-by-c period row by row, counting distinct
+                      labels, until a row adds none or brings the count
+                      to c; raises BudgetExceeded when c*c > pair_budget.
     mode "both":      run both routes and insist they agree.
     A negative pair_budget raises ValueError in every mode.
+
+    The stop is exact for any a and b: row y + 1 is row y shifted by b
+    (mod c), so once a row adds no label the attained set is closed under
+    that shift. Row y attains b*y + gcd(a, c)*Z_c, so a no-hole scheme
+    takes gcd(a, c) rows and one with a hole gcd(a, c)/gcd(a, b, c) + 1.
     """
     _check_non_negative("pair_budget", pair_budget)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
@@ -382,10 +389,8 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
         return NoHoleReport(is_no_hole=(g == 1), gcd_triple=g, attained_count=None)
     if mode not in ("enumerate", "both"):
         raise ValueError(f"unknown no-hole mode {mode!r}")
-    needed = scheme.c * scheme.c
-    if needed > pair_budget:
-        raise BudgetExceeded("no-hole enumeration", needed, "evaluations",
-                             pair_budget)
+    c = scheme.c
+    _check_size("no-hole enumeration", c * c, "evaluations", pair_budget)
     import numpy as np
 
     # Labels lie in [0, c), so they index one flag each; the flags take c
@@ -394,15 +399,15 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     # int64: label_window only leaves int64 past c = 2^63-1, where numpy
     # refuses the flag array (ValueError). A flag array that no memory
     # can hold raises MemoryError; the CLI reports both and exits 2.
-    c = scheme.c
     seen = np.zeros(c, dtype=bool)
+    count = 0
     for y in range(c):
         for x0 in range(0, c, BLOCK_CELLS):
             seen[label_window(scheme, x0, y, min(BLOCK_CELLS, c - x0), 1)] = True
-        count = int(np.count_nonzero(seen))
-        if count == c:
+        before, count = count, int(np.count_nonzero(seen))
+        if count in (before, c):
             break
-    surjective = count == scheme.c
+    surjective = count == c
     if mode == "both" and surjective != (g == 1):
         raise AssertionError(
             "gcd predicate and enumeration disagree; scheme arithmetic is broken"

@@ -1,6 +1,14 @@
-"""The package's public namespace: every exported name exists."""
+"""The package's public namespace and the README's library example."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import gridlabel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_name_in_all_resolves():
@@ -14,3 +22,18 @@ def test_star_import_binds_exactly_all():
     exec("from gridlabel import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(gridlabel.__all__)
+
+
+def test_readme_library_example_prints_what_it_says():
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", example], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3, proc.stdout
+    assert lines[0] == "LowerBound(exact=Fraction(74, 1), ceiled=74)"
+    assert lines[1] == "46/37"
+    assert "minimal_lambda=5" in lines[2] and "exhausted=True" in lines[2]

@@ -61,6 +61,12 @@ def mutant(k, a, b, c):
                           parity_case="hand-built", a=a, b=b, c=c)
 
 
+def dense_label_count(scheme):
+    """Oracle: distinct labels of the c-by-c period, in plain Python."""
+    a, b, c = scheme.a, scheme.b, scheme.c
+    return len({(a * x + b * y) % c for x in range(c) for y in range(c)})
+
+
 # ------------------------------------------------- reference kernels
 #
 # The scalar diamond loop and the window loop over 2-D slices, one per
@@ -694,13 +700,14 @@ def test_no_hole_enumeration_stops_once_every_label_is_seen(window_calls):
     assert s.c * s.c > 20 * verifier.BLOCK_CELLS
     assert check_no_hole(s, "both").attained_count == s.c
     assert len(calls) == 1
-    # gcd(a, b, c) = 2: only even labels, so every row of the period runs.
+    # gcd(a, b, c) = 2: only even labels, and row 1 adds none of them, so
+    # the enumeration stops after two rows.
     calls.clear()
     holey = mutant(3, 2, 4, 1000)
     assert check_no_hole(holey, "enumerate").attained_count == 500
-    assert len(calls) == holey.c
+    assert len(calls) == 2
     assert all(args[4] == 1 for args in calls)
-    assert sum(args[4] for args in calls) == holey.c
+    assert [args[2] for args in calls] == [0, 1]
     # c > BLOCK_CELLS and gcd(a, c) = 2: two rows, each labelled in pieces
     # of at most BLOCK_CELLS cells.
     calls.clear()
@@ -724,6 +731,37 @@ def test_no_hole_enumeration_labels_gcd_a_c_rows(window_calls, k):
     assert all(args[4] == 1 and args[3] <= verifier.BLOCK_CELLS
                for args in window_calls)
     assert sum(args[3] for args in window_calls) == rows * s.c
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (2, 4, 1000), (0, 4, 2000), (5, 15, 15), (6, 10, 100), (0, 4, 30),
+    (-6, 9, 60), (10, -4, 60), (0, 0, 7), (4, 0, 12), (2, 4, 300002),
+])
+def test_no_hole_enumeration_of_a_hole_stops_at_the_first_repeated_row(
+        window_calls, a, b, c):
+    # Row y attains b*y + gcd(a, c)*Z_c, a coset that first repeats at
+    # y = gcd(a, c)/gcd(a, b, c): that row adds no label and is the last.
+    s = mutant(3, a, b, c)
+    report = check_no_hole(s, "enumerate", c * c)
+    assert not report.is_no_hole and report.attained_count == c // math.gcd(a, b, c)
+    pieces = -(-c // verifier.BLOCK_CELLS)
+    rows = math.gcd(a, c) // math.gcd(a, b, c) + 1
+    assert [args[2] for args in window_calls] == [y for y in range(rows)
+                                                  for _ in range(pieces)]
+    assert sum(args[3] for args in window_calls) == rows * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-70, 70), st.integers(-70, 70), st.integers(1, 60))
+def test_no_hole_reports_match_a_dense_count(a, b, c):
+    # Any linear scheme, holes, zero and negative coefficients included:
+    # the attained labels are the multiples of gcd(a, b, c), c / gcd of them.
+    s = mutant(3, a, b, c)
+    dense = dense_label_count(s)
+    report = check_no_hole(s, "both")
+    assert report.attained_count == dense
+    assert report.is_no_hole == (dense == c)
+    assert report.gcd_triple == c // dense
 
 
 def test_gcd_a_c_is_at_most_thirteen_up_to_k_20000():
@@ -798,9 +836,8 @@ def test_no_hole_row_blocks_count_like_the_dense_period(monkeypatch, block_cells
     # In the last three, single rows miss labels other rows attain.
     for s in [scheme_params(5), mutant(3, 5, 15, 15), mutant(3, 6, 10, 100),
               mutant(3, 10, 3, 30), mutant(3, 0, 1, 30), mutant(3, 0, 4, 30)]:
-        dense = np.bincount(label_window(s, 0, 0, s.c, s.c).ravel(), minlength=s.c)
         report = check_no_hole(s, "enumerate")
-        assert report.attained_count == np.count_nonzero(dense), (block_cells, s)
+        assert report.attained_count == dense_label_count(s), (block_cells, s)
 
 
 def test_no_hole_enumeration_memory_is_bounded_by_the_block():
