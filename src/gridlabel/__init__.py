@@ -24,6 +24,7 @@ from .lattice import Vertex, ball, sphere, t_set
 from .scheme import (
     EVEN_K_EVEN_P,
     EVEN_K_ODD_P,
+    GCD_AB_ALLOWED,
     ODD_K_EVEN_P,
     ODD_K_ODD_P,
     LabelingScheme,
@@ -43,7 +44,6 @@ from .search import (
     probe_feasible,
 )
 from .verifier import (
-    GCD_AB_ALLOWED,
     BudgetExceeded,
     NoHoleReport,
     VerificationVerdict,
@@ -62,10 +62,10 @@ __all__ = [
     "LabelingScheme", "UnsupportedK", "scheme_params", "label",
     "label_many", "label_rows", "label_window", "lambda_ub",
     "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P", "EVEN_K_EVEN_P",
+    "GCD_AB_ALLOWED",
     "ViolationReport", "VerificationVerdict", "NoHoleReport",
     "BudgetExceeded", "label_difference",
     "check_diamond", "check_window", "window_pairs", "check_no_hole",
-    "GCD_AB_ALLOWED",
     "LowerBound", "BoundsRecord", "lambda_lb", "lb_summation",
     "triangular_convolution", "ratio", "bounds_table", "EVEN_K", "ODD_K",
     "Patch", "PatchSearchResult", "InvalidPatch",

@@ -11,20 +11,14 @@ on the parity of k and of p, where k = 2p + 1 (odd k) or k = 2p (even k):
 
 c is the number of labels used. The mathematical (always non-negative)
 remainder keeps every label inside [0, c), negative coordinates included.
-
-k = 2 is the single unsupported value: the even-k/odd-p case starts at
-p = 3, so no case covers p = 1.
+k = 2 is the one k that no case covers (UnsupportedK).
 
 Scalar evaluation (label, and label_rows for the rows of a window) uses
 Python integers, hence stays exact at any magnitude, and needs no numpy,
 which the vectorized helpers (label_many, label_window) import when they
 first run. Coordinates must be integers. Points (label_many) are int64
-while their products fit, (a mod c + b mod c)*(c-1) <= 2^63-1, which is
-every k <= 9189, and one exact object-array (Python-integer) expression
-past that. The int64 path reduces by floor division, v - (v // c)*c,
-into at most two arrays of the broadcast shape; the product may wrap
-next to INT64_MIN, and the subtraction wraps back to the exact remainder
-in [0, c). Windows (label_window) are int64 while their labels fit,
+while their products fit, which is every k <= 9189, and Python integers
+past that. Windows (label_window) are int64 while their labels fit,
 c <= 2^63-1, which is every k <= 3664061, and Python integers past that.
 Schemes are immutable; functions are pure.
 """
@@ -44,15 +38,14 @@ ODD_K_EVEN_P = "odd-k-even-p"
 EVEN_K_ODD_P = "even-k-odd-p"
 EVEN_K_EVEN_P = "even-k-even-p"
 
+
 class UnsupportedK(ValueError):
     """No coefficient case covers this k (only k = 2 is excluded)."""
 
-    def __init__(self, k: int, reason: str = ""):
+    def __init__(self, k: int):
         self.k = k
-        msg = f"k={k} is not covered by any coefficient case"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        super().__init__(f"k={k} is not covered by any coefficient case: even k "
+                         f"needs odd p >= 3, and k={k} gives p={k // 2}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,9 @@ class LabelingScheme:
 
     Instances built by scheme_params satisfy 0 < a < b < c for k >= 3.
     Hand-built ones may carry any a and b, and k = 2; construction raises
-    ValueError for k < 1 or c < 1, so labels always lie in [0, c).
+    ValueError for k < 1 or c < 1, so labels always lie in [0, c). k, p,
+    a, b and c are stored as the Python integers operator.index gives,
+    so numpy integers cannot wrap and a non-integer raises TypeError.
     """
 
     k: int
@@ -72,6 +67,8 @@ class LabelingScheme:
     c: int
 
     def __post_init__(self):
+        for name in ("k", "p", "a", "b", "c"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.c < 1:
@@ -112,7 +109,7 @@ def _coefficients(k: int) -> tuple[int, str, int, int, int]:
     p = k // 2
     if p % 2 == 1:
         if p < 3:
-            raise UnsupportedK(k, "even k needs odd p >= 3, and k=2 gives p=1")
+            raise UnsupportedK(k)
         return (p, EVEN_K_ODD_P,
                 2 * p + 1,
                 3 * p * p + 4 * p + 2,
@@ -121,6 +118,15 @@ def _coefficients(k: int) -> tuple[int, str, int, int, int]:
             2 * p + 1,
             3 * p * p + 3 * p + 1,
             _halved((p + 1) * (3 * p * p + 2 * p + 2)))
+
+
+#: Values gcd(a, b) can take in each parity case.
+GCD_AB_ALLOWED = {
+    ODD_K_ODD_P: frozenset({1, 5}),
+    ODD_K_EVEN_P: frozenset({1, 3}),
+    EVEN_K_ODD_P: frozenset({1, 3}),
+    EVEN_K_EVEN_P: frozenset({1}),
+}
 
 
 def label(scheme: LabelingScheme, v) -> int:
@@ -168,12 +174,13 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     xs and ys broadcast together. While _int64_safe holds, integer arrays
     are reduced mod c and labelled exactly in int64; otherwise the labels
     come from one Python-integer (object dtype) array expression on the
-    coordinates as given. Object arrays must hold integers.
+    coordinates as given. Object arrays must hold integers. An empty
+    operand is read as int64, since numpy reads [] as float64.
     """
     import numpy as np
 
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    xs, ys = (v if v.size else v.astype(np.int64)
+              for v in map(np.asarray, (xs, ys)))
     if xs.dtype.kind == "f" or ys.dtype.kind == "f":
         raise TypeError("coordinates must be integers")
     a, b, c = scheme.a, scheme.b, scheme.c

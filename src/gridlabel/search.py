@@ -161,8 +161,7 @@ def _probe(patch: Patch, cons: _Constraints, lam: int, node_budget: int):
     gaps = {min(gap, cap) for row in cons for _, gap in row}
     top = max(gaps, default=0)
     band = {g: ((1 << (2 * g - 1)) - 1) << (top - g + 1) for g in gaps}
-    # near[i] is vertex i-1's band (0 when out of reach), far[i] the rest:
-    # their union is fixed while vertex i-1 tries its candidates.
+    # near[i] is vertex i-1's band (0 when out of reach), far[i] the rest.
     near = [0] * n
     far: list[list[tuple[int, int]]] = []
     for i, row in enumerate(cons):
@@ -172,9 +171,8 @@ def _probe(patch: Patch, cons: _Constraints, lam: int, node_budget: int):
                 near[i] = band[min(gap, cap)]
             else:
                 far[i].append((j, band[min(gap, cap)]))
-    # free[i] holds vertex i's untried, unblocked labels up to limits[i],
-    # bit top being label 0. None reaches cap: such a label is over the
-    # budget, so masks stay within cap bits too.
+    # free[i] holds vertex i's untried, unblocked labels below cap and up
+    # to limits[i], bit top being label 0.
     limits = [lam - 1] * n
     limits[0] = (lam - 1) // 2
     labels_mask = ((1 << cap) - 1) << top

@@ -10,38 +10,24 @@ to the label of their difference vector (``label_difference``), and the
 offset diamond is closed under negation, this finite check is exact for
 the whole infinite grid: a clean diamond certifies the scheme, while a
 violating offset names a concrete offending pair (the origin plus that
-offset, since the origin's label is 0). The diamond is labelled in
-blocks of whole columns x, about BLOCK_CELLS cells each, by one
-``label_window`` call per block, so memory stays O(BLOCK_CELLS + k) at
-any k.
-Each block is a rectangle only as tall as its tallest column, and each
-cell is compared with the gap k+1-|x|-|y| it requires. A cell outside
-the diamond requires a gap of at most 0, which no label misses, since
-labels lie in [0, c); so only the origin, whose required gap is set to
-0, needs excluding.
+offset, since the origin's label is 0). Memory stays O(BLOCK_CELLS + k)
+at any k.
 
 ``check_window`` brute-forces |L(u) - L(v)| over all vertex pairs of a
 finite rectangle, using nothing but label evaluation and absolute
 differences. It is deliberately redundant with ``check_diamond`` so the
 two can cross-validate each other. Rectangles embed isometrically in the
-grid, so in-window distances need no boundary correction. A wide window
-is checked as the tall window it transposes to. The window is labelled
-once, by ``label_window``'s kernel, into the narrowest type holding
-c + k + 1, which is int64 for every k <= 3664061, as for
-``label_window``. Each column offset compares bands of rows with their
-partner rows, padded with the sentinel -(k+1), one chunk of row offsets
-per numpy call, so memory stays near the narrow grid's size.
-``window_pairs`` counts the pairs it compares without labelling
+grid, so in-window distances need no boundary correction. It compares
+fixed-width labels for every k <= 3664061, in memory near the window's
+size. ``window_pairs`` counts the pairs it compares without labelling
 anything, and ``window_pair_budget`` gives the most a caller should let
 it compare, so callers can bound the work first.
 
-``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the attained
-label set is the subgroup of Z_c generated by gcd(a, b, c), so the gcd
-predicate decides it; labelling the c-by-c period one row at a time, in
-pieces of at most BLOCK_CELLS cells, confirms it independently, and
-stops after the first row that adds no label or brings the count to c:
-gcd(a, c) rows for a no-hole scheme (1, 5, 7 or 13 for every supported
-k <= 20000) and gcd(a, c)/gcd(a, b, c) + 1 for one with a hole.
+``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the gcd
+predicate gcd(a, b, c) == 1 decides it, and labelling the period row by
+row confirms it independently, in c bytes of flags plus one piece of at
+most BLOCK_CELLS cells. A no-hole scheme takes gcd(a, c) rows, which is
+1, 5, 7 or 13 for every supported k <= 20000.
 
 All checks are pure; violation lists are reported in lexicographic
 offset order, capped at a configurable maximum. The array checks import
@@ -56,16 +42,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from .scheme import (
-    EVEN_K_EVEN_P,
-    EVEN_K_ODD_P,
-    ODD_K_EVEN_P,
-    ODD_K_ODD_P,
-    LabelingScheme,
-    _label_grid,
-    label,
-    label_window,
-)
+from .scheme import LabelingScheme, _label_grid, label, label_window
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,18 +64,8 @@ DEFAULT_PAIR_BUDGET = 4_000_000
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
 #: Cells per block of the diamond check, per piece of a no-hole row, and
-#: per gap chunk of check_window's subtract/abs/min calls. Its bands
-#: of base rows hold 2*BLOCK_CELLS bytes: BLOCK_CELLS int16 labels, fewer
-#: wider ones.
+#: per gap chunk of check_window's subtract/abs/min calls.
 BLOCK_CELLS = 1 << 17
-
-#: Values gcd(a, b) can take in each parity case.
-GCD_AB_ALLOWED = {
-    ODD_K_ODD_P: frozenset({1, 5}),
-    ODD_K_EVEN_P: frozenset({1, 3}),
-    EVEN_K_ODD_P: frozenset({1, 3}),
-    EVEN_K_EVEN_P: frozenset({1}),
-}
 
 
 class BudgetExceeded(ValueError):
@@ -165,6 +132,13 @@ def check_diamond(scheme: LabelingScheme,
 
     Only the first max_violations violating offsets, in lexicographic
     order, become reports; passed is False whenever any offset violates.
+
+    The diamond is labelled in blocks of whole columns x, about
+    BLOCK_CELLS cells each, by one label_window call per block. Each
+    block is a rectangle only as tall as its tallest column, and each
+    cell is compared with the gap k+1-|x|-|y| it requires. A cell off
+    the diamond requires at most 0, which no label in [0, c) misses, so
+    only the origin needs excluding: its required gap is set to 0.
     """
     import numpy as np
 
@@ -180,8 +154,7 @@ def check_diamond(scheme: LabelingScheme,
         actual = label_window(scheme, x_lo, -h, xs.size, 2 * h + 1).T
         required = (k + 1 - np.abs(xs))[:, None] - np.abs(np.arange(-h, h + 1))
         if x_lo <= 0 < x_lo + xs.size:
-            required[-x_lo, h] = 0  # the origin
-        # Cells off the diamond need a gap <= 0, which no label in [0, c) misses.
+            required[-x_lo, h] = 0
         bad = actual < required
         if not bad.any():
             continue
@@ -207,9 +180,11 @@ def window_pairs(k: int, width: int, height: int) -> int:
     O(min(k, width)): for dx >= 1 each column offset reaches
     m = min(k - dx, height - 1) rows up and down, which gives
     (width - dx) * (height * (2m + 1) - m(m + 1)) pairs, and dx = 0
-    counts only the upward half. Raises ValueError for k < 1 or an
-    empty window.
+    counts only the upward half. Arguments are read with operator.index,
+    as in label_difference, so numpy integers cannot wrap. Raises
+    ValueError for k < 1 or an empty window.
     """
+    k, width, height = map(operator.index, (k, width, height))
     if k < 1:
         raise ValueError("k must be a positive integer")
     if width < 1 or height < 1:
@@ -297,7 +272,6 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
             top, bottom = max(0, r0 + lo), min(height, r0 + n + reach)
             partner.fill(-(k + 1))
             partner[top - r0 - lo: bottom - r0 - lo] = grid[top:bottom, dx:]
-            # Row i of shifted is the partner of the band at dy = lo + i.
             shifted = np.ndarray((dys.size, n * cols), grid.dtype, partner_buffer,
                                  strides=(cols * grid.itemsize, grid.itemsize))
             shifted.setflags(write=False)
@@ -393,12 +367,10 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     _check_size("no-hole enumeration", c * c, "evaluations", pair_budget)
     import numpy as np
 
-    # Labels lie in [0, c), so they index one flag each; the flags take c
-    # bytes. Each row is labelled in pieces of at most BLOCK_CELLS cells,
-    # so memory is c bytes plus one piece whatever the budget. Pieces are
-    # int64: label_window only leaves int64 past c = 2^63-1, where numpy
-    # refuses the flag array (ValueError). A flag array that no memory
-    # can hold raises MemoryError; the CLI reports both and exits 2.
+    # Labels lie in [0, c), so they index one flag each. Pieces are int64:
+    # label_window only leaves int64 past c = 2^63-1, where numpy refuses
+    # the flag array (ValueError). A flag array that no memory can hold
+    # raises MemoryError; the CLI reports both and exits 2.
     seen = np.zeros(c, dtype=bool)
     count = 0
     for y in range(c):

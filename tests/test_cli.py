@@ -419,10 +419,12 @@ def test_verify_both_modes_agree(capsys):
     assert payload["checks"]["window"]["passed"] is True
 
 
-def test_verify_k2_usage_error(capsys):
-    code, _, err = run_cli(capsys, ["verify", "--k", "2", "--mode", "diamond"])
-    assert code == 2
-    assert "k=2" in err
+@pytest.mark.parametrize("command", ["label", "verify", "nohole"])
+def test_k2_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, [command, "--k", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("error: k=2 is not covered by any coefficient case: even k "
+                   "needs odd p >= 3, and k=2 gives p=1\n")
 
 
 def test_verify_violation_exit_code():

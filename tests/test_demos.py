@@ -17,8 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_output_is_unchanged(demo):
     env = dict(os.environ,
                PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     want = (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_text()
     assert proc.stdout == want

@@ -267,6 +267,38 @@ def test_a_scheme_refuses_k_or_c_below_one(k, c, message):
         LabelingScheme(k, 1, "hand-built", 2, 5, c)
 
 
+def test_a_scheme_built_from_numpy_integers_labels_like_python_integers():
+    # Its fields are read with operator.index when it is built, so no
+    # labeller multiplies by a fixed-width coefficient that could wrap.
+    built = LabelingScheme(3, 1, "hand-built", np.int64(2**40), 1,
+                           np.int64(2**62 + 1))
+    plain = LabelingScheme(3, 1, "hand-built", 2**40, 1, 2**62 + 1)
+    assert all(type(getattr(built, f)) is int for f in ("k", "p", "a", "b", "c"))
+    x0, y0 = 2**30, -7
+    assert label(built, (x0, 0)) == label(plain, (x0, 0)) == 4611686018427387649
+    want = [[label(plain, (x, y)) for x in range(x0, x0 + 3)] for y in (y0, y0 + 1)]
+    assert list(label_rows(built, x0, 3, range(y0, y0 + 2))) == want
+    assert label_window(built, x0, y0, 3, 2).tolist() == want
+    xs = np.arange(x0, x0 + 3)
+    assert label_many(built, xs, y0).tolist() == want[0]
+    fields = dict(k=3, p=1, parity_case="hand-built", a=5, b=15, c=12)
+    for name in ("k", "p", "a", "b", "c"):
+        with pytest.raises(TypeError, match="float"):
+            LabelingScheme(**{**fields, name: 5.0})
+
+
+@pytest.mark.parametrize("k", [3, 9190])
+def test_label_many_of_empty_coordinates_is_empty(k):
+    # numpy reads [] as float64; it must label like an empty int64 array.
+    s = scheme_params(k)
+    empty = np.array([], dtype=np.int64)
+    want = label_many(s, empty, empty)
+    assert want.shape == (0,)
+    for xs, ys in [([], []), ([], 0), (0, []), (empty, [])]:
+        got = label_many(s, xs, ys)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+
+
 def test_int64_guard_is_tight():
     # (a + b) * (c - 1) == 2**63 - 1 exactly: the int64 path's largest sum fits.
     a, b = 200, 311

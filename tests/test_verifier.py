@@ -355,6 +355,12 @@ def test_window_pairs_refuses_k_below_one(k):
             window_pairs(k, width, height)
 
 
+def test_window_pairs_reads_numpy_integers_exactly():
+    # 2e19 pairs: past int64, where numpy integer arithmetic would wrap.
+    args = (1000, 10**8, 10**8)
+    assert window_pairs(*map(np.int64, args)) == window_pairs(*args) > 2**63
+
+
 def test_a_hand_built_k2_scheme_passes_every_audit():
     # (2x + 3y) mod 7: k = 2 has no scheme_params case, but a scheme may
     # carry it, and it is a valid, no-hole labeling.
