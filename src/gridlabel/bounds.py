@@ -18,9 +18,9 @@ display-only. All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .scheme import UnsupportedK, lambda_ub
 
@@ -28,14 +28,12 @@ EVEN_K = "even-k"
 ODD_K = "odd-k"
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class LowerBound(NamedTuple):
     exact: Fraction
     ceiled: int
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(NamedTuple):
     k: int
     lower_exact: Fraction
     lower: int
@@ -50,7 +48,9 @@ def lambda_lb(k: int) -> LowerBound:
 
 
 def _lb_numerator(k: int) -> int:
-    """3 * lambda_lb(k).exact, an integer."""
+    """3 * lambda_lb(k).exact, an integer; k is read with operator.index,
+    so a numpy integer cannot wrap."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
     # (2/3) p (p+1) (2p+1 or 2p+3) + 2, as one fraction over 3.

@@ -18,7 +18,10 @@ The writers only format: labels come from scheme.label_rows, checks
 and bounds from the verifier and bounds modules. label_rows, bounds and
 search need no arrays, so label, bounds and search never import numpy;
 verify and nohole's enumeration import it through the verifier when
-their first check runs.
+their first check runs. json is imported by ``_stream_json`` on its
+first call, so only ``--format json`` imports it. No command imports
+dataclasses: result records are NamedTuples, and JSON reads them with
+``_asdict()``.
 
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k, or
@@ -41,10 +44,8 @@ README and are fixed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 from .bounds import bounds_records
@@ -124,6 +125,8 @@ def _stream_json(out, payload: dict, items=None) -> None:
     indented four spaces, are written into it as they are made, separated
     by ",\n": the same bytes as dumping the full payload.
     """
+    import json
+
     text = json.dumps(payload, indent=2)
     if items is None:
         _stream(out, text + "\n")
@@ -203,9 +206,11 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
         where = {"width": width, "height": height}
         if shifted:
             where = {"x0": x0, "y0": y0, **where}
+        # json writes a record as a list, so violations become dicts too.
         _stream_json(out, _envelope(
             scheme.k, scheme, mode=mode, window=where if window else None,
-            checks={name: asdict(v) for name, v in checks.items()},
+            checks={name: v._asdict() | {"violations": [
+                rep._asdict() for rep in v.violations]} for name, v in checks.items()},
             passed=passed))
     elif fmt == "csv":
         _stream(out, "check,offset_x,offset_y,r,required_gap,actual\n", (
@@ -291,7 +296,7 @@ def write_nohole(out, scheme: LabelingScheme, mode: str, pair_budget: int,
     _check_format(fmt)
     report = check_no_hole(scheme, mode, pair_budget)
     if fmt == "json":
-        _stream_json(out, _envelope(scheme.k, scheme, mode=mode, **asdict(report)))
+        _stream_json(out, _envelope(scheme.k, scheme, mode=mode, **report._asdict()))
     elif fmt == "csv":
         attained = "" if report.attained_count is None else report.attained_count
         _stream(out, "k,gcd_triple,is_no_hole,attained_count\n"

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,17 +47,7 @@ class UnsupportedK(ValueError):
                          f"needs odd p >= 3, and k={k} gives p={k // 2}")
 
 
-@dataclass(frozen=True)
-class LabelingScheme:
-    """One instantiation of the labeling rule L(x, y) = (a*x + b*y) mod c.
-
-    Instances built by scheme_params satisfy 0 < a < b < c for k >= 3.
-    Hand-built ones may carry any a and b, and k = 2; construction raises
-    ValueError for k < 1 or c < 1, so labels always lie in [0, c). k, p,
-    a, b and c are stored as the Python integers operator.index gives,
-    so numpy integers cannot wrap and a non-integer raises TypeError.
-    """
-
+class _SchemeFields(NamedTuple):
     k: int
     p: int
     parity_case: str
@@ -66,13 +55,32 @@ class LabelingScheme:
     b: int
     c: int
 
-    def __post_init__(self):
-        for name in ("k", "p", "a", "b", "c"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.k < 1:
+
+class LabelingScheme(_SchemeFields):
+    """One instantiation of the labeling rule L(x, y) = (a*x + b*y) mod c.
+
+    Instances built by scheme_params satisfy 0 < a < b < c for k >= 3.
+    Hand-built ones may carry any a and b, and k = 2; construction raises
+    ValueError for k < 1 or c < 1, so labels always lie in [0, c). k, p,
+    a, b and c are stored as the Python integers operator.index gives,
+    so numpy integers cannot wrap and a non-integer raises TypeError.
+    Every way of building one (_make, _replace, unpickling) is checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, p: int, parity_case: str, a: int, b: int, c: int):
+        k, p, a, b, c = map(operator.index, (k, p, a, b, c))
+        if k < 1:
             raise ValueError("k must be a positive integer")
-        if self.c < 1:
-            raise ValueError(f"modulus c must be >= 1, got {self.c}")
+        if c < 1:
+            raise ValueError(f"modulus c must be >= 1, got {c}")
+        return super().__new__(cls, k, p, parity_case, a, b, c)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 def _halved(n: int) -> int:
@@ -92,7 +100,11 @@ def scheme_params(k: int) -> LabelingScheme:
 
 
 def _coefficients(k: int) -> tuple[int, str, int, int, int]:
-    """(p, parity_case, a, b, c) for k, the fields scheme_params fills."""
+    """(p, parity_case, a, b, c) for k, the fields scheme_params fills.
+
+    k is read with operator.index, so a numpy integer cannot wrap.
+    """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k % 2 == 1:

@@ -26,7 +26,7 @@ A single search is sequential; independent probes may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_VERTICES = 64
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -39,16 +39,23 @@ class InvalidPatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Patch:
+class _PatchFields(NamedTuple):
     rows: int
     cols: int
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise InvalidPatch(
-                f"patch needs positive dimensions, got {self.rows}x{self.cols}"
-            )
+
+class Patch(_PatchFields):
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int):
+        if rows < 1 or cols < 1:
+            raise InvalidPatch(f"patch needs positive dimensions, got {rows}x{cols}")
+        return super().__new__(cls, rows, cols)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def n_vertices(self) -> int:
@@ -59,8 +66,7 @@ class Patch:
         return [(x, y) for y in range(self.rows) for x in range(self.cols)]
 
 
-@dataclass(frozen=True)
-class PatchSearchResult:
+class PatchSearchResult(NamedTuple):
     minimal_lambda: int
     certificate: dict[tuple[int, int], int]
     nodes_explored: int

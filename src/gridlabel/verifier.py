@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .scheme import LabelingScheme, _label_grid, label, label_window
 
@@ -82,8 +81,7 @@ def _check_size(what: str, count: int, unit: str, budget: int) -> None:
         raise BudgetExceeded(what, count, unit, budget)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """Witness that the separation requirement fails at one offset."""
 
     offset: tuple[int, int]
@@ -92,15 +90,13 @@ class ViolationReport:
     actual: int
 
 
-@dataclass(frozen=True)
-class VerificationVerdict:
+class VerificationVerdict(NamedTuple):
     passed: bool
     checked_pairs: int
     violations: tuple[ViolationReport, ...]
 
 
-@dataclass(frozen=True)
-class NoHoleReport:
+class NoHoleReport(NamedTuple):
     is_no_hole: bool
     gcd_triple: int
     attained_count: Optional[int]  # None unless enumeration ran
@@ -241,7 +237,7 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     k = scheme.k
     tall = height >= width
     if not tall:
-        scheme = replace(scheme, a=scheme.b, b=scheme.a)
+        scheme = scheme._replace(a=scheme.b, b=scheme.a)
         x0, y0, width, height = y0, x0, height, width
     grid = _label_grid(scheme, x0, y0, width, height, _window_dtype(scheme))
     # Bands of 2 * BLOCK_CELLS bytes and gap chunks of BLOCK_CELLS cells:

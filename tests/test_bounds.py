@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridlabel import (
@@ -44,6 +45,15 @@ def test_lambda_lb_matches_product_form():
         want = product_form_lambda_lb(k)
         lb = lambda_lb(k)
         assert lb.exact == want and lb.ceiled == math.ceil(want), k
+
+
+@pytest.mark.parametrize("k", [3000001, 3000002, 2**40 + 1])
+def test_numpy_k_gives_the_python_integer_bounds(k):
+    # k is read with operator.index, so the cube cannot wrap in int64 (and
+    # RuntimeWarning is an error under this suite's settings).
+    assert lambda_lb(np.int64(k)) == lambda_lb(k)
+    assert type(lambda_lb(np.int64(k)).ceiled) is int
+    assert ratio(np.int64(k)) == ratio(k)
 
 
 def test_lambda_lb_rejects_bad_k():

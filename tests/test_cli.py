@@ -801,12 +801,13 @@ def test_search_huge_k_returns_quickly():
 # --------------------------------------------------------- without numpy
 
 # Runs main on each argv in the JSON list argv[2] and prints every exit
-# code, stdout and stderr as JSON. With argv[1] == "block", numpy cannot
-# be imported: sys.modules maps it to None, so an import raises.
+# code, stdout and stderr as JSON. With argv[1] == "block", neither numpy
+# nor dataclasses can be imported: sys.modules maps each to None, so an
+# import raises.
 RUN_MAIN = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
-    sys.modules["numpy"] = None
+    sys.modules["numpy"] = sys.modules["dataclasses"] = None
 else:
     import numpy
 from gridlabel.cli import main
@@ -872,8 +873,13 @@ def test_closed_stdout_exits_141_quietly(argv):
 
 
 def test_importing_gridlabel_leaves_numpy_unloaded():
-    assert run_python("-c", "import sys, gridlabel, gridlabel.cli; "
-                            "print('numpy' in sys.modules)") == "False\n"
+    # Nor dataclasses (which imports inspect) or json. site may have loaded
+    # some of them already, so only the modules the import adds count.
+    added = run_python("-c", "import sys; before = set(sys.modules); "
+                             "import gridlabel, gridlabel.cli; "
+                             "print(sorted({'dataclasses', 'inspect', 'json', "
+                             "'numpy'} & (set(sys.modules) - before)))")
+    assert added == "[]\n"
 
 
 # ------------------------------------------------------------ arguments

@@ -1,10 +1,14 @@
-"""The package's public namespace and the README's library example."""
+"""The package's public namespace, its result records and the README's
+library example."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gridlabel
 
@@ -37,3 +41,29 @@ def test_readme_library_example_prints_what_it_says():
     assert lines[0] == "LowerBound(exact=Fraction(74, 1), ceiled=74)"
     assert lines[1] == "46/37"
     assert "minimal_lambda=5" in lines[2] and "exhausted=True" in lines[2]
+
+
+RECORDS = {
+    "LabelingScheme": gridlabel.scheme_params(7),
+    "Patch": gridlabel.Patch(2, 3),
+    "PatchSearchResult": gridlabel.exact_span(gridlabel.Patch(2, 3), 3),
+    "ViolationReport": gridlabel.ViolationReport((1, 0), 1, 3, 2),
+    # (x + y) mod 12 fails k = 3, so the verdict holds violation records.
+    "VerificationVerdict": gridlabel.check_window(
+        gridlabel.LabelingScheme(3, 1, "hand-built", 1, 1, 12), 3, 3),
+    "NoHoleReport": gridlabel.check_no_hole(gridlabel.scheme_params(7), "gcd"),
+    "LowerBound": gridlabel.lambda_lb(7),
+    "BoundsRecord": gridlabel.bounds_table(3, 3)[0],
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
+def test_result_records_are_immutable_and_pickle(record):
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record)
+    assert repr(back) == repr(record)
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1

@@ -287,6 +287,32 @@ def test_a_scheme_built_from_numpy_integers_labels_like_python_integers():
             LabelingScheme(**{**fields, name: 5.0})
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"c": 0}, "modulus c must be >= 1, got 0"),
+    ({"k": 0}, "k must be a positive integer"),
+])
+def test_replace_and_make_check_a_scheme_like_the_constructor(change, message):
+    # namedtuple's _make, which _replace calls, would skip __new__.
+    s = scheme_params(7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        s._replace(**change)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabelingScheme._make({**s._asdict(), **change}.values())
+    with pytest.raises(TypeError):
+        s._replace(a=5.0)
+    swapped = s._replace(a=np.int64(s.b), b=s.a)
+    assert (type(swapped.a), swapped.a, swapped.b) == (int, s.b, s.a)
+
+
+@pytest.mark.parametrize("k", [3000001, 3000002, 2**40 + 1])
+def test_numpy_k_gives_the_python_integer_scheme(k):
+    # k is read with operator.index, so the cube in c cannot wrap in int64
+    # (and RuntimeWarning is an error under this suite's settings).
+    assert scheme_params(np.int64(k)) == scheme_params(k)
+    assert lambda_ub(np.int64(k)) == lambda_ub(k)
+    assert type(lambda_ub(np.int64(k))) is int
+
+
 @pytest.mark.parametrize("k", [3, 9190])
 def test_label_many_of_empty_coordinates_is_empty(k):
     # numpy reads [] as float64; it must label like an empty int64 array.

@@ -314,6 +314,15 @@ def test_invalid_patches():
         exact_span(Patch(2, 2), 2, node_budget=0)
 
 
+def test_replace_checks_a_patch_like_the_constructor():
+    # namedtuple's _make, which _replace calls, would skip __new__.
+    with pytest.raises(InvalidPatch, match="got 0x3$"):
+        Patch(2, 3)._replace(rows=0)
+    with pytest.raises(InvalidPatch, match="got 2x-1$"):
+        Patch._make([2, -1])
+    assert Patch(2, 3)._replace(cols=4) == Patch(2, 4)
+
+
 
 # Every entry point and the greedy start and clique bound of exact_span,
 # called with a patch and k only.
