@@ -13,16 +13,20 @@ exact rational is kept for transparency.
 
 The upper bound is the modulus c of the constructive scheme. Ratios are
 exact rationals built on the ceiled lower bound; decimal renderings are
-display-only. All functions are pure.
+display-only. All functions are pure. fractions (which loads decimal) is
+imported by the functions that make a Fraction, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .scheme import UnsupportedK, lambda_ub
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EVEN_K = "even-k"
 ODD_K = "odd-k"
@@ -43,6 +47,8 @@ class BoundsRecord(NamedTuple):
 
 def lambda_lb(k: int) -> LowerBound:
     """Closed-form lower bound for k >= 1 (k = 2 included)."""
+    from fractions import Fraction
+
     num = _lb_numerator(k)
     return LowerBound(exact=Fraction(num, 3), ceiled=-(-num // 3))
 
@@ -88,6 +94,8 @@ def lb_summation(p: int, parity: str) -> Fraction:
         raise ValueError("p must be >= 1")
     if parity not in (EVEN_K, ODD_K):
         raise ValueError(f"parity must be {EVEN_K!r} or {ODD_K!r}")
+    from fractions import Fraction
+
     outer = sum(m * (p + 1 - m) for m in range(1, p + 1))
     inner = sum(m * (p - m) for m in range(1, p))
     total = Fraction(4 * (outer + inner) + 1 + 1)
@@ -102,6 +110,8 @@ def ratio(k: int) -> Fraction:
     1 at k = 1; at every supported k >= 3 it exceeds 9/8 (4/3 at k = 3)
     and approaches 9/8 from above as k grows.
     """
+    from fractions import Fraction
+
     return Fraction(lambda_ub(k), lambda_lb(k).ceiled)
 
 
@@ -113,17 +123,18 @@ def bounds_records(k_min: int, k_max: int) -> Iterator[BoundsRecord]:
     """
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
-    return map(_bounds_record, range(k_min, k_max + 1))
+    from fractions import Fraction
 
+    def record(k: int) -> BoundsRecord:
+        num = _lb_numerator(k)
+        exact, lower = Fraction(num, 3), -(-num // 3)
+        try:
+            ub = lambda_ub(k)
+        except UnsupportedK:
+            return BoundsRecord(k, exact, lower, None, None)
+        return BoundsRecord(k, exact, lower, ub, Fraction(ub, lower))
 
-def _bounds_record(k: int) -> BoundsRecord:
-    num = _lb_numerator(k)
-    exact, lower = Fraction(num, 3), -(-num // 3)
-    try:
-        ub = lambda_ub(k)
-    except UnsupportedK:
-        return BoundsRecord(k, exact, lower, None, None)
-    return BoundsRecord(k, exact, lower, ub, Fraction(ub, lower))
+    return map(record, range(k_min, k_max + 1))
 
 
 def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:

@@ -15,10 +15,10 @@ raises ValueError for an unknown format before it checks or writes
 anything.
 
 The writers only format: labels come from scheme.label_rows, checks
-and bounds from the verifier and bounds modules. label_rows, bounds and
-search need no arrays, so label, bounds and search never import numpy;
-verify and nohole's enumeration import it through the verifier when
-their first check runs. json is imported by ``_stream_json`` on its
+and bounds from the verifier and bounds modules. label_rows, bounds,
+search and the no-hole audit need no arrays, so label, bounds, nohole
+and search never import numpy; verify imports it through the verifier
+when its first check runs. json is imported by ``_stream_json`` on its
 first call, so only ``--format json`` imports it. No command imports
 dataclasses: result records are NamedTuples, and JSON reads them with
 ``_asdict()``.

@@ -25,14 +25,16 @@ it compare, so callers can bound the work first.
 
 ``check_no_hole`` audits surjectivity onto {0, ..., c-1}: the gcd
 predicate gcd(a, b, c) == 1 decides it, and labelling the period row by
-row confirms it independently, in c bytes of flags plus one piece of at
-most BLOCK_CELLS cells. A no-hole scheme takes gcd(a, c) rows, which is
-1, 5, 7 or 13 for every supported k <= 20000.
+row confirms it independently, in a bytearray of c flags. Each row is an
+arithmetic progression marked by extended-slice assignments
+(``_mark_row``), so the enumeration labels nothing through the window
+kernel the other two checks share. A no-hole scheme takes gcd(a, c)
+rows, which is 1, 5, 7 or 13 for every supported k <= 20000.
 
 All checks are pure; violation lists are reported in lexicographic
-offset order, capped at a configurable maximum. The array checks import
-numpy when they first run, not when this module is imported, and the
-gcd route of ``check_no_hole`` needs none.
+offset order, capped at a configurable maximum. The diamond and window
+checks import numpy when they first run, not when this module is
+imported, and ``check_no_hole`` needs none in any mode.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ DEFAULT_PAIR_BUDGET = 4_000_000
 #: 0.1 s at k = 3000000 and at 3664061.
 MAX_WINDOW_PAIRS = 3 * 10**9
 MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
-#: Cells per block of the diamond check, per piece of a no-hole row, and
-#: per gap chunk of check_window's subtract/abs/min calls.
+#: Cells per block of the diamond check and per gap chunk of
+#: check_window's subtract/abs/min calls.
 BLOCK_CELLS = 1 << 17
 
 
@@ -352,6 +354,8 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     (mod c), so once a row adds no label the attained set is closed under
     that shift. Row y attains b*y + gcd(a, c)*Z_c, so a no-hole scheme
     takes gcd(a, c) rows and one with a hole gcd(a, c)/gcd(a, b, c) + 1.
+    The flags are a bytearray of c bytes, and each row costs about
+    (a mod c) + 1 slice assignments plus c bytes of work (_mark_row).
     """
     _check_non_negative("pair_budget", pair_budget)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
@@ -361,18 +365,19 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
         raise ValueError(f"unknown no-hole mode {mode!r}")
     c = scheme.c
     _check_size("no-hole enumeration", c * c, "evaluations", pair_budget)
-    import numpy as np
-
-    # Labels lie in [0, c), so they index one flag each. Pieces are int64:
-    # label_window only leaves int64 past c = 2^63-1, where numpy refuses
-    # the flag array (ValueError). A flag array that no memory can hold
-    # raises MemoryError; the CLI reports both and exits 2.
-    seen = np.zeros(c, dtype=bool)
+    # Labels lie in [0, c), so they index one flag each. Flags that no
+    # memory can hold (MemoryError), or no bytearray can index (c past
+    # sys.maxsize, OverflowError), are refused with one MemoryError that
+    # names the size; the CLI reports it and exits 2.
+    try:
+        seen = bytearray(c)
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"no-hole enumeration needs {c} bytes of flags") from None
+    step = scheme.a % c
     count = 0
     for y in range(c):
-        for x0 in range(0, c, BLOCK_CELLS):
-            seen[label_window(scheme, x0, y, min(BLOCK_CELLS, c - x0), 1)] = True
-        before, count = count, int(np.count_nonzero(seen))
+        _mark_row(seen, scheme.b * y % c, step)
+        before, count = count, c - seen.count(0)
         if count in (before, c):
             break
     surjective = count == c
@@ -381,3 +386,24 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
             "gcd predicate and enumeration disagree; scheme arithmetic is broken"
         )
     return NoHoleReport(is_no_hole=surjective, gcd_triple=g, attained_count=count)
+
+
+def _mark_row(seen: bytearray, start: int, step: int) -> None:
+    """Flag the labels (start + step*x) mod c for x in [0, c), c = len(seen).
+
+    With start = L(0, y) and step = a mod c these are the c labels of
+    row y. The progression is marked one maximal non-wrapping run at a
+    time: a run from s holds the n labels s, s + step, ... below c and is
+    one extended-slice assignment, and the next run starts at
+    s + step*n - c. step = 0 (a divisible by c) makes the row one label.
+    """
+    c = len(seen)
+    if step == 0:
+        seen[start] = 1
+        return
+    ones = bytearray(b"\1") * -(-c // step)
+    s, left = start, c
+    while left:
+        n = min(left, -(-(c - s) // step))
+        seen[s: s + step * n: step] = ones[:n]
+        s, left = s + step * n - c, left - n

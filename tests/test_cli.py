@@ -729,6 +729,15 @@ def test_nohole_flags_no_memory_can_hold_exit_2(capsys):
     assert err.startswith("error: ")
 
 
+def test_nohole_flags_past_sys_maxsize_exit_2(capsys):
+    # c = 9223380144019071167 > 2^63 - 1: no bytearray can index the flags.
+    assert scheme_params(3664062).c > sys.maxsize
+    code, out, err = run_cli(capsys, ["nohole", "--k", "3664062", "--mode",
+                                      "enumerate", "--pair-budget", str(10**40)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # --------------------------------------------------------------- search
 
 def test_search_2x2_k2(capsys):
@@ -831,6 +840,9 @@ NUMPY_FREE_ARGV = [
     ["search", "--rows", "2", "--cols", "3", "--k", "3", "--format", "json"],
     *(["nohole", "--k", "41", "--mode", "gcd", "--format", fmt]
       for fmt in ("ascii", "csv", "json")),
+    *(["nohole", "--k", "17", "--mode", mode, "--format", fmt]
+      for mode in ("both", "enumerate") for fmt in ("ascii", "csv", "json")),
+    ["nohole", "--k", "15", "--mode", "enumerate", "--pair-budget", "100"],
     ["label", "--k", "2"],
     ["--help"],
 ]
@@ -849,7 +861,7 @@ def test_commands_without_numpy_match_commands_with_it():
     argv = json.dumps(NUMPY_FREE_ARGV)
     blocked = json.loads(run_python("-c", RUN_MAIN, "block", argv))
     loaded = json.loads(run_python("-c", RUN_MAIN, "load", argv))
-    assert [code for code, _, _ in loaded] == [0] * 11 + [2, 0]
+    assert [code for code, _, _ in loaded] == [0] * 17 + [2, 2, 0]
     for args, got, want in zip(NUMPY_FREE_ARGV, blocked, loaded):
         assert got == want, args
 
@@ -873,12 +885,14 @@ def test_closed_stdout_exits_141_quietly(argv):
 
 
 def test_importing_gridlabel_leaves_numpy_unloaded():
-    # Nor dataclasses (which imports inspect) or json. site may have loaded
-    # some of them already, so only the modules the import adds count.
+    # Nor dataclasses (which imports inspect), json, or fractions (which
+    # imports decimal). site may have loaded some of them already, so only
+    # the modules the import adds count.
     added = run_python("-c", "import sys; before = set(sys.modules); "
                              "import gridlabel, gridlabel.cli; "
-                             "print(sorted({'dataclasses', 'inspect', 'json', "
-                             "'numpy'} & (set(sys.modules) - before)))")
+                             "print(sorted({'dataclasses', 'decimal', 'fractions', "
+                             "'inspect', 'json', 'numpy'} & "
+                             "(set(sys.modules) - before)))")
     assert added == "[]\n"
 
 

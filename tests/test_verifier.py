@@ -676,9 +676,9 @@ def test_diamond_memory_stays_below_four_mib():
 
 @pytest.mark.parametrize("k, mode, budget, mib", [
     (21, "both", verifier.DEFAULT_PAIR_BUDGET, 4),
-    # c = 5153102: c one-byte flags plus one block of BLOCK_CELLS labels,
-    # whatever the budget.
-    (301, "enumerate", 10**14, 16),
+    # c = 5153102: c one-byte flags (4.9 MiB) and runs of c / (a mod c)
+    # ones, whatever the budget; the peak measured 4.95 MiB.
+    (301, "enumerate", 10**14, 6),
 ])
 def test_no_hole_memory_stays_bounded(k, mode, budget, mib):
     report, peak = peak_traced_bytes(lambda: check_no_hole(scheme_params(k), mode,
@@ -688,55 +688,55 @@ def test_no_hole_memory_stays_bounded(k, mode, budget, mib):
 
 
 @pytest.fixture
-def window_calls(monkeypatch):
-    """The argument tuples of every label_window call the verifier makes."""
-    calls = []
+def marked_rows(monkeypatch):
+    """(start, step, c) of every row the no-hole enumeration marks."""
+    rows = []
+    mark_row = verifier._mark_row
 
-    def counted(*args):
-        calls.append(args)
-        return label_window(*args)
+    def counted(seen, start, step):
+        rows.append((start, step, len(seen)))
+        mark_row(seen, start, step)
 
-    monkeypatch.setattr(verifier, "label_window", counted)
-    return calls
+    monkeypatch.setattr(verifier, "_mark_row", counted)
+    return rows
 
 
-def test_no_hole_enumeration_stops_once_every_label_is_seen(window_calls):
-    calls = window_calls
+def row_starts(scheme, rows):
+    """L(0, y) for y = 0 .. rows - 1, the start of each row's progression."""
+    return [(scheme.b * y) % scheme.c for y in range(rows)]
+
+
+def test_no_hole_enumeration_stops_once_every_label_is_seen(marked_rows):
+    rows = marked_rows
     s = scheme_params(21)
-    assert s.c * s.c > 20 * verifier.BLOCK_CELLS
+    # gcd(a, c) = 1: row 0 alone attains every label of the c^2 period.
+    assert math.gcd(s.a, s.c) == 1 and s.c * s.c > 3 * 10**6
     assert check_no_hole(s, "both").attained_count == s.c
-    assert len(calls) == 1
+    assert rows == [(0, s.a % s.c, s.c)]
     # gcd(a, b, c) = 2: only even labels, and row 1 adds none of them, so
     # the enumeration stops after two rows.
-    calls.clear()
+    rows.clear()
     holey = mutant(3, 2, 4, 1000)
     assert check_no_hole(holey, "enumerate").attained_count == 500
-    assert len(calls) == 2
-    assert all(args[4] == 1 for args in calls)
-    assert [args[2] for args in calls] == [0, 1]
-    # c > BLOCK_CELLS and gcd(a, c) = 2: two rows, each labelled in pieces
-    # of at most BLOCK_CELLS cells.
-    calls.clear()
+    assert rows == [(0, 2, 1000), (4, 2, 1000)]
+    # c > 2 * 10^5 and gcd(a, c) = 2: two rows of c labels each.
+    rows.clear()
     wide = LabelingScheme(3, 1, "h", 2, 1, 300002)
     assert check_no_hole(wide, "enumerate", wide.c**2).attained_count == wide.c
-    assert [args[2] for args in calls] == [0, 0, 0, 1, 1, 1]
-    assert all(args[3] * args[4] <= verifier.BLOCK_CELLS for args in calls)
-    assert sum(args[3] for args in calls) == 2 * wide.c
+    assert rows == [(0, 2, wide.c), (1, 2, wide.c)]
+    assert sum(c for _, _, c in rows) == 2 * wide.c
 
 
 @pytest.mark.parametrize("k", [k for k in range(1, 61) if k != 2] + [63, 115])
-def test_no_hole_enumeration_labels_gcd_a_c_rows(window_calls, k):
+def test_no_hole_enumeration_labels_gcd_a_c_rows(marked_rows, k):
     # Row y attains b*y + gcd(a, c)*Z_c, so rows 0 .. gcd(a, c) - 1 attain
     # every label and no fewer do; k = 11, 63 and 115 have gcd(a, c) = 13.
     s = scheme_params(k)
     assert check_no_hole(s, "enumerate", s.c**2).attained_count == s.c
-    pieces = -(-s.c // verifier.BLOCK_CELLS)
     rows = math.gcd(s.a, s.c)
-    assert [args[2] for args in window_calls] == [y for y in range(rows)
-                                                  for _ in range(pieces)]
-    assert all(args[4] == 1 and args[3] <= verifier.BLOCK_CELLS
-               for args in window_calls)
-    assert sum(args[3] for args in window_calls) == rows * s.c
+    assert [start for start, _, _ in marked_rows] == row_starts(s, rows)
+    assert all(step == s.a % s.c for _, step, _ in marked_rows)
+    assert sum(c for _, _, c in marked_rows) == rows * s.c
 
 
 @pytest.mark.parametrize("a, b, c", [
@@ -744,17 +744,46 @@ def test_no_hole_enumeration_labels_gcd_a_c_rows(window_calls, k):
     (-6, 9, 60), (10, -4, 60), (0, 0, 7), (4, 0, 12), (2, 4, 300002),
 ])
 def test_no_hole_enumeration_of_a_hole_stops_at_the_first_repeated_row(
-        window_calls, a, b, c):
+        marked_rows, a, b, c):
     # Row y attains b*y + gcd(a, c)*Z_c, a coset that first repeats at
     # y = gcd(a, c)/gcd(a, b, c): that row adds no label and is the last.
     s = mutant(3, a, b, c)
     report = check_no_hole(s, "enumerate", c * c)
     assert not report.is_no_hole and report.attained_count == c // math.gcd(a, b, c)
-    pieces = -(-c // verifier.BLOCK_CELLS)
     rows = math.gcd(a, c) // math.gcd(a, b, c) + 1
-    assert [args[2] for args in window_calls] == [y for y in range(rows)
-                                                  for _ in range(pieces)]
-    assert sum(args[3] for args in window_calls) == rows * c
+    assert [start for start, _, _ in marked_rows] == row_starts(s, rows)
+    assert sum(c for _, _, c in marked_rows) == rows * c
+
+
+def marked_row_oracle(a, b, c, y):
+    """Oracle: the flags of row y's labels, one (a*x + b*y) % c at a time."""
+    flags = bytearray(c)
+    for x in range(c):
+        flags[(a * x + b * y) % c] = 1
+    return flags
+
+
+def marked_row(a, b, c, y):
+    seen = bytearray(c)
+    verifier._mark_row(seen, (b * y) % c, a % c)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-70, 70), st.integers(-70, 70), st.integers(1, 60))
+def test_mark_row_flags_the_row_labels(a, b, c):
+    # Zero, negative and a >= c coefficients, so steps of 0, of c - 1 and
+    # ones that divide c or not, and starts anywhere in [0, c).
+    for y in range(c):
+        assert marked_row(a, b, c, y) == marked_row_oracle(a, b, c, y), y
+
+
+@pytest.mark.parametrize("a, b, c", [(1234, 977, 300002), (299999, 5, 300001)])
+def test_mark_row_flags_the_row_labels_of_a_wide_period(a, b, c):
+    # Runs of unequal length: a step that does not divide c with
+    # gcd(a, c) = 2, and a step of c - 2 (one or two labels a run).
+    for y in (0, 1):
+        assert marked_row(a, b, c, y) == marked_row_oracle(a, b, c, y), y
 
 
 @settings(max_examples=300, deadline=None)
@@ -799,10 +828,10 @@ def test_no_hole_detects_altered_modulus():
 def test_no_hole_both_refuses_disagreeing_routes(monkeypatch):
     # Broken arithmetic that labels every vertex 0 leaves holes the gcd
     # route does not predict.
-    def zeros(scheme, x0, y0, width, height):
-        return np.zeros((height, width), dtype=np.int64)
+    def zeros(seen, start, step):
+        seen[0] = 1
 
-    monkeypatch.setattr(verifier, "label_window", zeros)
+    monkeypatch.setattr(verifier, "_mark_row", zeros)
     assert check_no_hole(scheme_params(3), "enumerate").attained_count == 1
     with pytest.raises(AssertionError, match="disagree"):
         check_no_hole(scheme_params(3), "both")
@@ -837,7 +866,8 @@ def test_no_hole_rejects_unknown_mode():
 
 @pytest.mark.parametrize("block_cells", [1, 7, 100, 10**9])
 def test_no_hole_row_blocks_count_like_the_dense_period(monkeypatch, block_cells):
-    # Block sizes below one row, not dividing c, and above c*c.
+    # BLOCK_CELLS sizes the diamond and window checks only: below one row,
+    # not dividing c, or above c*c, the no-hole count stays the dense one.
     monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
     # In the last three, single rows miss labels other rows attain.
     for s in [scheme_params(5), mutant(3, 5, 15, 15), mutant(3, 6, 10, 100),
