@@ -16,16 +16,17 @@ k = 2 is the one k that no case covers (UnsupportedK).
 Scalar evaluation (label, and label_rows for the rows of a window) uses
 Python integers, hence stays exact at any magnitude, and needs no numpy,
 which the vectorized helpers (label_many, label_window) import when they
-first run. Coordinates must be integers. Points (label_many) are int64
-while their products fit, which is every k <= 9189, and Python integers
-past that. Windows (label_window) are int64 while their labels fit,
-c <= 2^63-1, which is every k <= 3664061, and Python integers past that.
-Schemes are immutable; functions are pure.
+first run. Coordinates must be integers. Points (label_many) are labelled
+in int64 while their products fit, which is every k <= 9189, and by one
+exact Python-integer rule per point past that. Windows (label_window) are
+int64 while their labels fit, c <= 2^63-1, which is every k <= 3664061,
+and Python integers past that; their axes are exact progressions, not
+points. Schemes are immutable; functions are pure.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import operator
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -184,56 +185,52 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     """Vectorized label evaluation over integer coordinate arrays.
 
     xs and ys broadcast together. While _int64_safe holds, integer arrays
-    are reduced mod c and labelled exactly in int64; otherwise the labels
-    come from one Python-integer (object dtype) array expression on the
-    coordinates as given. Object arrays must hold integers. An empty
-    operand is read as int64, since numpy reads [] as float64.
+    are reduced mod c and labelled exactly in int64; otherwise each
+    broadcast pair gets (a*x + b*y) mod c in Python integers (object
+    dtype), x and y read with operator.index so numpy integers cannot
+    wrap. Any dtype but bool, integer or object, and any object element
+    that is not an integer, raises TypeError. An empty operand is read
+    as int64, since numpy reads [] as float64.
     """
     import numpy as np
 
     xs, ys = (v if v.size else v.astype(np.int64)
               for v in map(np.asarray, (xs, ys)))
-    if xs.dtype.kind == "f" or ys.dtype.kind == "f":
+    if {xs.dtype.kind, ys.dtype.kind} - set("biuO"):
         raise TypeError("coordinates must be integers")
     a, b, c = scheme.a, scheme.b, scheme.c
     if xs.dtype.kind in "iu" and ys.dtype.kind in "iu" and _int64_safe(scheme):
         return _label_int64(xs, ys, a % c, b % c, c)
-    return (a * _as_python_ints(xs) + b * _as_python_ints(ys)) % c
+    index = operator.index
+    return np.frompyfunc(lambda x, y: (a * index(x) + b * index(y)) % c, 2, 1)(xs, ys)
 
 
 def _label_int64(xs: np.ndarray, ys: np.ndarray, a: int, b: int,
                  c: int) -> np.ndarray:
     """(a*xs + b*ys) mod c on int64, for a, b in [0, c) under _int64_safe.
 
-    Each array operand is reduced into a new array and scaled there. The
-    sum goes into one of them that has the broadcast shape, and is reduced
+    Two 0-d operands are labelled in Python integers into an np.int64, as
+    label would, and a lone 0-d operand is taken as a 1-element array.
+    Each operand is reduced into a new array and scaled there. The sum
+    goes into one of them that has the broadcast shape, and is reduced
     into the other if it has it too, so at most two arrays of that shape
-    are allocated and the inputs are only read. A 0-d operand's term is
-    one Python integer; two give an np.int64, as label would.
+    are allocated and the inputs are only read.
     """
     import numpy as np
 
-    x, y = _term(xs, a, c), _term(ys, b, c)
-    if isinstance(x, int):
-        if isinstance(y, int):
-            return np.int64((x + y) % c)
-        x, y = y, x
-    if isinstance(y, int):
-        x += y
-        return _floor_mod(x, np.int64(c))
+    if xs.ndim == ys.ndim == 0:
+        return np.int64((a * int(xs) + b * int(ys)) % c)
+    x, y = _term(np.atleast_1d(xs), a, c), _term(np.atleast_1d(ys), b, c)
     shape = np.broadcast(x, y).shape
     full = [t for t in (x, y) if t.shape == shape]
     total = np.add(x, y, out=full[0] if full else None)
     return _floor_mod(total, np.int64(c), out=full[1] if len(full) > 1 else None)
 
 
-def _term(values: np.ndarray, coef: int, c: int):
-    """coef * (values mod c): a Python integer for a 0-d operand, else a
-    new int64 array."""
+def _term(values: np.ndarray, coef: int, c: int) -> np.ndarray:
+    """coef * (values mod c) in a new int64 array."""
     import numpy as np
 
-    if values.ndim == 0:
-        return coef * (int(values) % c)
     # A numpy scalar modulus widens the result: with a Python int, NEP 50
     # makes narrow arrays (int32, uint8, ...) raise OverflowError once c
     # exceeds their range. uint64 is divided as uint64, so values past
@@ -253,39 +250,14 @@ def _floor_mod(values: np.ndarray, modulus, out=None) -> np.ndarray:
     with a precomputed reciprocal, which np.mod does not. The product can
     wrap in int64 next to INT64_MIN. The subtraction then wraps back, and
     the result is exact because it lies between 0 and the modulus. Only
-    arrays wrap silently: numpy scalars warn on overflow, so 0-d operands
-    are reduced in Python integers instead.
+    arrays wrap silently, as numpy scalars warn on overflow, so values
+    has at least one dimension.
     """
     import numpy as np
 
     quotient = np.floor_divide(values, modulus, out=out)
     quotient *= modulus
     return np.subtract(values, quotient, out=quotient)
-
-
-@functools.cache
-def _index_ufunc():
-    # Elements of an object array may be numpy integers, whose fixed-width
-    # products would wrap; operator.index turns them into Python integers
-    # and rejects non-integers.
-    import numpy as np
-
-    return np.frompyfunc(operator.index, 1, 1)
-
-
-def _as_python_ints(values: np.ndarray) -> np.ndarray:
-    if values.dtype == object:
-        return _index_ufunc()(values)
-    return values.astype(object)
-
-
-def _axis(origin: int, n: int, c: int) -> np.ndarray:
-    """origin, ..., origin+n-1 shifted by a multiple of c into [0, c+n-1)."""
-    import numpy as np
-
-    start = origin % c
-    dtype = np.int64 if start + n - 1 <= _INT64_MAX else object
-    return np.arange(start, start + n, dtype=dtype)
 
 
 def label_window(scheme: LabelingScheme, x0: int, y0: int,
@@ -306,19 +278,40 @@ def _label_grid(scheme: LabelingScheme, x0: int, y0: int,
                 width: int, height: int, dtype) -> np.ndarray:
     """label_window's grid in dtype, a signed type that holds c, or object.
 
-    By linearity the label at [i, j] is X[j] + (Y[i] - c), plus c where
-    that is negative, with X[j] = L(x0+j, 0) and Y[i] = L(0, y0+i) in
-    [0, c) from label_many. Both terms and their sum lie in [-c, c), so
-    no intermediate exceeds c in magnitude.
+    L is linear, L(u + v) = L(u) + L(v) mod c, so the label at [i, j] is
+    _add_mod of the axis labels X[j] = L(x0+j, 0) and Y[i] = L(0, y0+i),
+    and each axis is made the same way from fewer labels (_progression).
     """
-    import numpy as np
-
     x0, y0 = operator.index(x0), operator.index(y0)
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c
-    x_labels = label_many(scheme, _axis(x0, width, c), 0).astype(dtype, copy=False)
-    y_labels = label_many(scheme, 0, _axis(y0, height, c)).astype(dtype, copy=False)
-    grid = x_labels[np.newaxis, :] + (y_labels - c)[:, np.newaxis]
-    np.add(grid, c, out=grid, where=grid < 0)
-    return grid
+    x_labels = _progression(scheme.a, x0, width, c, dtype)
+    y_labels = _progression(scheme.b, y0, height, c, dtype)
+    return _add_mod(x_labels, y_labels[:, None], c)
+
+
+def _progression(coef: int, origin: int, n: int, c: int, dtype) -> np.ndarray:
+    """(coef * (origin + j)) mod c for j in [0, n), in dtype. With m =
+    ceil(sqrt(n)) and j = q*m + r, label j is the _add_mod of head q,
+    coef * (origin + q*m), and tail r, coef * r, both mod c: about
+    2*sqrt(n) labels in Python integers."""
+    import numpy as np
+
+    m = math.isqrt(n - 1) + 1
+    start, step = coef * origin % c, coef * m % c
+    heads = [(start + step * q) % c for q in range(-(-n // m))]
+    tails = [coef * r % c for r in range(m)]
+    grid = _add_mod(np.array(heads, dtype)[:, None], np.array(tails, dtype), c)
+    return grid.ravel()[:n]
+
+
+def _add_mod(x: np.ndarray, y: np.ndarray, c: int) -> np.ndarray:
+    """(x + y) mod c for labels in [0, c), broadcast together: x + (y - c)
+    lies in [-c, c) and gets c back where negative, so no intermediate
+    exceeds c in magnitude."""
+    import numpy as np
+
+    total = x + (y - c)
+    np.add(total, c, out=total, where=total < 0)
+    return total

@@ -354,8 +354,8 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     (mod c), so once a row adds no label the attained set is closed under
     that shift. Row y attains b*y + gcd(a, c)*Z_c, so a no-hole scheme
     takes gcd(a, c) rows and one with a hole gcd(a, c)/gcd(a, b, c) + 1.
-    The flags are a bytearray of c bytes, and each row costs about
-    (a mod c) + 1 slice assignments plus c bytes of work (_mark_row).
+    The flags are a bytearray of c bytes, and each row costs at most
+    c/2 + 1 slice assignments plus c bytes of work (_mark_row).
     """
     _check_non_negative("pair_budget", pair_budget)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
@@ -392,12 +392,14 @@ def _mark_row(seen: bytearray, start: int, step: int) -> None:
     """Flag the labels (start + step*x) mod c for x in [0, c), c = len(seen).
 
     With start = L(0, y) and step = a mod c these are the c labels of
-    row y. The progression is marked one maximal non-wrapping run at a
-    time: a run from s holds the n labels s, s + step, ... below c and is
-    one extended-slice assignment, and the next run starts at
-    s + step*n - c. step = 0 (a divisible by c) makes the row one label.
+    row y, which step c - step flags too (x -> -x permutes Z_c), so the
+    smaller is taken. Each maximal non-wrapping run from s holds the n
+    labels s, s + step, ... below c and is one extended-slice assignment;
+    the next starts at s + step*n - c, so there are at most c/2 + 1 runs.
+    step = 0 (a divisible by c) makes the row one label.
     """
     c = len(seen)
+    step = min(step, c - step)
     if step == 0:
         seen[start] = 1
         return

@@ -158,7 +158,7 @@ LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
 # ------------------------------------------------------ byte identity
 
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)
-@pytest.mark.parametrize("k", [1, 3, 4, 7, 9190])  # 9190: label_many's object path
+@pytest.mark.parametrize("k", [1, 3, 4, 7, 9190])  # 9190: exact points, int64 window
 def test_write_label_matches_reference(k, fmt):
     s = scheme_params(k)
     for x0, y0 in [(0, 0), (-5, -7), (13, 4), (-3, 10**20)]:
@@ -186,7 +186,7 @@ def hand_built(a, b, c):
     return LabelingScheme(k=3, p=1, parity_case="hand-built", a=a, b=b, c=c)
 
 
-# a >= c, negative a or b, a, b, c > 2^64 (the object path), and c = 1.
+# a >= c, negative a or b, a, b, c > 2^64 (Python-integer windows), and c = 1.
 HAND_BUILT = [hand_built(29, 5, 12), hand_built(12, 12, 12), hand_built(-7, 5, 12),
               hand_built(5, -31, 12), hand_built(-9, -4, 13),
               hand_built(2**70 + 3, 3**45, 2**66 + 7),

@@ -21,6 +21,7 @@ from gridlabel import (
     lambda_ub,
     scheme_params,
 )
+from gridlabel.scheme import _progression
 
 coords = st.integers(min_value=-10**9, max_value=10**9)
 supported_k = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 40, 41])
@@ -136,9 +137,22 @@ def test_label_many_object_fallback_for_huge_coordinates():
 
 
 def test_label_many_rejects_floats():
-    s = scheme_params(3)
-    with pytest.raises(TypeError):
-        label_many(s, np.array([0.5]), np.array([1.0]))
+    # One TypeError for every non-integer coordinate, on the int64 path
+    # (k = 3) and the exact one (k = 9190), whichever operand carries it.
+    # numpy turns timedelta64[ns] elements into Python integers, so the
+    # dtype is refused as well as the element.
+    ones = np.array([1])
+    non_integers = [np.array([0.5]), np.array([1j]), np.array(["1"]), None,
+                    np.array([1], dtype="timedelta64[s]"),
+                    np.array([1], dtype="timedelta64[ns]")]
+    for k in (3, 9190):
+        s = scheme_params(k)
+        with pytest.raises(TypeError):
+            label_many(s, np.array([0.5]), np.array([1.0]))
+        for bad in non_integers:
+            for xs, ys in [(bad, ones), (ones, bad)]:
+                with pytest.raises(TypeError):
+                    label_many(s, xs, ys)
 
 
 def test_scalar_coordinates_must_be_integers():
@@ -233,7 +247,8 @@ def window_origins():
 def test_label_window_exact_at_path_boundary(k, dtype):
     s = scheme_params(k)
     for x0, y0 in window_origins():
-        assert assert_window_matches_scalar(s, x0, y0, 6, 4).dtype == dtype
+        for w, h in [(6, 4), (np.int64(6), np.int64(4))]:
+            assert assert_window_matches_scalar(s, x0, y0, w, h).dtype == dtype
 
 
 @pytest.mark.parametrize("c, dtype", [(INT64_MAX, np.int64), (INT64_MAX + 1, object)])
@@ -252,6 +267,39 @@ def test_label_window_int64_guard_is_tight(c, dtype):
        w=st.integers(1, 8), h=st.integers(1, 8))
 def test_label_window_matches_scalar(a, b, c, x0, y0, w, h):
     assert_window_matches_scalar(hand_built(a, b, c), x0, y0, w, h)
+
+
+NEAR_SQUARES = [n for q in range(1, 18) for n in (q * q - 1, q * q, q * q + 1) if n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300) | st.sampled_from(NEAR_SQUARES),
+       coef=st.integers(-100, 100) | st.integers(-2**72, 2**72),
+       wraps=st.integers(-3, 3),
+       origin=st.integers(-10**6, 10**6) | st.integers(-10**30, 10**30),
+       c=st.integers(1, 60) | st.integers(1, 2**15) | st.integers(2**63 - 3, 2**63 + 3)
+       | st.integers(2**64 - 3, 2**70))
+def test_progression_matches_a_plain_comprehension(n, coef, wraps, origin, c):
+    # A window axis: zero, negative and >= c coefficients, in each type
+    # check_window and label_window build a grid in that holds c.
+    coef += wraps * c
+    want = [(coef * (origin + j)) % c for j in range(n)]
+    for dtype in ("int16", "int32", "int64", "object"):
+        if dtype == "object" or c <= np.iinfo(dtype).max:
+            axis = _progression(coef, origin, n, c, dtype)
+            assert axis.dtype == dtype
+            assert axis.tolist() == want
+
+
+def test_label_window_of_a_long_axis_matches_label_rows():
+    # k = 20001 labels points on the exact path but windows on int64.
+    s = scheme_params(20001)
+    n = 100_000
+    for x0, y0 in [(0, 0), (-(10**20), 3**40)]:
+        assert (label_window(s, x0, y0, n, 1).tolist()
+                == list(label_rows(s, x0, n, range(y0, y0 + 1))))
+        assert (label_window(s, x0, y0, 1, n).tolist()
+                == list(label_rows(s, x0, 1, range(y0, y0 + n))))
 
 
 @pytest.mark.parametrize("k, c, message", [
@@ -450,8 +498,9 @@ def test_int64_kernel_edge_cases(size):
         out = label_many(scheme, xs, ys)
         assert out.dtype == np.int64
         assert out.tolist() == scalar_labels(scheme, xs, ys)
-        # A 0-d operand is reduced in Python integers: on numpy scalars
-        # the wrapping product would warn.
+        # Two 0-d operands are labelled in Python integers and a lone one
+        # as a 1-element array: on numpy scalars the wrapping product
+        # would warn.
         for x0 in (np.int64(INT64_MIN), np.array(INT64_MIN)):
             point = label_many(scheme, x0, x0)
             assert type(point) is np.int64

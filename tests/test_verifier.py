@@ -763,9 +763,22 @@ def marked_row_oracle(a, b, c, y):
     return flags
 
 
+class CountingFlags(bytearray):
+    """Flags that count the assignments made into them."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
 def marked_row(a, b, c, y):
-    seen = bytearray(c)
-    verifier._mark_row(seen, (b * y) % c, a % c)
+    # One assignment per non-wrapping run: step s makes at most s + 1 runs,
+    # and steps s and c - s flag the same labels, so the smaller is taken.
+    seen, step = CountingFlags(c), a % c
+    verifier._mark_row(seen, (b * y) % c, step)
+    assert seen.writes <= min(step, c - step) + 1
     return seen
 
 
@@ -781,7 +794,7 @@ def test_mark_row_flags_the_row_labels(a, b, c):
 @pytest.mark.parametrize("a, b, c", [(1234, 977, 300002), (299999, 5, 300001)])
 def test_mark_row_flags_the_row_labels_of_a_wide_period(a, b, c):
     # Runs of unequal length: a step that does not divide c with
-    # gcd(a, c) = 2, and a step of c - 2 (one or two labels a run).
+    # gcd(a, c) = 2, and a step of c - 2, marked as its mirror step 2.
     for y in (0, 1):
         assert marked_row(a, b, c, y) == marked_row_oracle(a, b, c, y), y
 
