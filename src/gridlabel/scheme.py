@@ -202,6 +202,12 @@ def label_many(scheme: LabelingScheme, xs, ys) -> np.ndarray:
     if xs.dtype.kind in "iu" and ys.dtype.kind in "iu" and _int64_safe(scheme):
         return _label_int64(xs, ys, a % c, b % c, c)
     index = operator.index
+    # Broadcasting reads an element only where a position reaches it, so
+    # an object operand is read in full first.
+    for v in (xs, ys):
+        if v.dtype == object:
+            for element in v.flat:
+                index(element)
     return np.frompyfunc(lambda x, y: (a * index(x) + b * index(y)) % c, 2, 1)(xs, ys)
 
 

@@ -14,16 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
+import oracle
+from conftest import hand_built
 from gridlabel import (
     GCD_AB_ALLOWED,
-    LabelingScheme,
     Patch,
     ball,
     check_diamond,
     check_no_hole,
     check_window,
     exact_span,
-    label,
     label_many,
     lambda_lb,
     lambda_ub,
@@ -65,33 +65,13 @@ def test_criterion_01_diamond_certification_under_one_second():
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
-def _mutant_corpus():
-    """Deterministic corpus of invalidated schemes: +/-1 perturbations of
-    one coefficient or the modulus, keeping only genuinely broken ones."""
-    corpus = []
-    for k in SUPPORTED_UP_TO_12:
-        s = scheme_params(k)
-        tweaks = [
-            (s.a + 1, s.b, s.c), (s.a - 1, s.b, s.c),
-            (s.a, s.b + 1, s.c), (s.a, s.b - 1, s.c),
-            (s.a, s.b, s.c + 1), (s.a, s.b, s.c - 1),
-        ]
-        for a, b, c in tweaks:
-            if a < 1 or b < 1 or c < 2:
-                continue
-            m = LabelingScheme(k=k, p=s.p, parity_case="mutant", a=a, b=b, c=c)
-            if not check_diamond(m).passed:
-                corpus.append(m)
-    return corpus
-
-
 def test_criterion_02_diamond_window_cross_validation():
     with criterion(2, "window and diamond agree; mutants fail with shared witness"):
         for k in SUPPORTED_UP_TO_12:
             s = scheme_params(k)
             assert check_diamond(s).passed
             assert check_window(s, 100, 100).passed, k
-        corpus = _mutant_corpus()
+        corpus = [hand_built(*m) for m in oracle.perturbed(SUPPORTED_UP_TO_12)]
         assert len(corpus) >= 20, len(corpus)
         for m in corpus:
             d = check_diamond(m, max_violations=10**6)
@@ -129,7 +109,8 @@ def test_criterion_04_difference_identity_on_random_pairs():
         s = scheme_params(7)
         for u, v in [((1, 0), (0, 0)), ((3, -2), (-1, 5)), ((9, 9), (9, 9))]:
             from gridlabel import label_difference
-            assert label_difference(s, u, v) == abs(label(s, u) - label(s, v))
+            assert label_difference(s, u, v) == abs(oracle.label(s.a, s.b, s.c, *u)
+                                                    - oracle.label(s.a, s.b, s.c, *v))
 
 
 def test_criterion_05_no_hole_everywhere():
@@ -165,12 +146,8 @@ def test_criterion_06_lower_bound_values_and_summation():
         # lb_summation's odd term is the closed form's own difference, so
         # odd k is checked against the packing chain over the radius-p
         # ball: pairwise distinct labels, consecutive gaps >= k+1-|u|-|v|.
-        for p in range(1, 101):
-            points = ball(p)
-            norm_sum = sum(abs(x) + abs(y) for x, y in points)
-            for k in (2 * p, 2 * p + 1):
-                chain = (len(points) - 1) * (k + 1) - 2 * norm_sum + 2
-                assert lambda_lb(k).exact <= chain, k
+        for k in range(2, 202):
+            assert lambda_lb(k).exact <= oracle.packing_chain_bound(k), k
 
 
 def test_criterion_07_ratio_asymptotics():
@@ -202,15 +179,8 @@ def test_criterion_08_search_oracle_consistency():
         for rows, cols, k in fixtures:
             res = exact_span(Patch(rows, cols), k)
             assert res.exhausted, (rows, cols, k)
-            cells = Patch(rows, cols).vertices()
-            for i, u in enumerate(cells):
-                for v in cells[:i]:
-                    d = abs(u[0] - v[0]) + abs(u[1] - v[1])
-                    if d <= k:
-                        gap = abs(res.certificate[u] - res.certificate[v])
-                        assert gap >= k + 1 - d, (rows, cols, k, u, v)
-            assert all(0 <= res.certificate[u] < res.minimal_lambda
-                       for u in cells)
+            assert oracle.certificate_ok(rows, cols, k, res.certificate,
+                                         res.minimal_lambda), (rows, cols, k)
             if k != 2:
                 assert res.minimal_lambda <= lambda_ub(k), (rows, cols, k)
         elapsed = time.perf_counter() - t0
@@ -245,14 +215,8 @@ def test_criterion_10_cli_contract(capsys):
         rows = list(csv.DictReader(io.StringIO(label_out)))
         cells = {(int(r["x"]), int(r["y"])): int(r["label"]) for r in rows}
         assert len(cells) == 16
-        s = scheme_params(3)
-        assert all(cells[v] == label(s, v) for v in cells)
+        assert all(cells[v] == oracle.label(5, 15, 12, *v) for v in cells)
         pts = sorted(cells)
-        reverified = all(
-            abs(cells[u] - cells[v]) >= 4 - (abs(u[0] - v[0]) + abs(u[1] - v[1]))
-            for i, u in enumerate(pts)
-            for v in pts[:i]
-            if abs(u[0] - v[0]) + abs(u[1] - v[1]) <= 3
-        )
+        reverified = oracle.valid_assignment(pts, [cells[v] for v in pts], 3)
         assert reverified
-        assert check_window(s, 4, 4).passed == reverified
+        assert check_window(scheme_params(3), 4, 4).passed == reverified

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from gridlabel import (
     EVEN_K,
     ODD_K,
     UnsupportedK,
-    ball,
     bounds_table,
     lambda_lb,
     lb_summation,
@@ -31,18 +31,10 @@ def test_lambda_lb_known_values():
     assert lambda_lb(7).exact == 74
 
 
-def product_form_lambda_lb(k):
-    """The closed form as a chain of Fraction products (the former code)."""
-    p = k // 2
-    if k % 2 == 0:
-        return Fraction(2, 3) * p * (p + 1) * (2 * p + 1) + 2
-    return Fraction(2, 3) * p * (p + 1) * (2 * p + 3) + 2
-
-
 def test_lambda_lb_matches_product_form():
     ks = list(range(1, 10**4 + 1)) + [10**12 + d for d in range(-3, 4)]
     for k in ks:
-        want = product_form_lambda_lb(k)
+        want = oracle.lambda_lb(k)
         lb = lambda_lb(k)
         assert lb.exact == want and lb.ceiled == math.ceil(want), k
 
@@ -94,38 +86,24 @@ def test_lb_summation_matches_closed_form_up_to_200():
         assert lb_summation(p, ODD_K) == lambda_lb(2 * p + 1).exact
 
 
-def packing_chain_bound(k):
-    """Labels the radius-p ball needs, p = k // 2, by the packing chain.
-
-    Its vertices lie pairwise within 2p <= k, so their labels differ. Take
-    them in label order: neighbours u, v of the chain differ by at least
-    k + 1 - d(u, v) >= k + 1 - |u| - |v|. Summed, every |v| counts at most
-    twice, each end once, and at most one end is the origin, so the span is
-    at least (n - 1)(k + 1) - 2 sum |v| + 1, and the label count one more.
-    """
-    points = ball(k // 2)
-    return ((len(points) - 1) * (k + 1)
-            - 2 * sum(abs(x) + abs(y) for x, y in points) + 2)
-
-
 def test_lambda_lb_against_the_packing_chain():
     # Even k: the closed form is the chain. Odd k: it lies exactly
     # (2/3) p (p+1) below the chain, so it is a valid but weaker bound.
     for k in range(2, 201):
         p = k // 2
         slack = 0 if k % 2 == 0 else Fraction(2, 3) * p * (p + 1)
-        assert packing_chain_bound(k) - lambda_lb(k).exact == slack, k
+        assert oracle.packing_chain_bound(k) - lambda_lb(k).exact == slack, k
 
 
 def test_radius_one_ball_needs_ten_labels_at_k3():
     # Exhaustive over labels 0..9: the 5-vertex ball admits no labelling
     # with 9 labels, one more than lambda_lb(3) = 26/3 ceiled.
-    points = ball(1)
+    points = oracle.scan_box(lambda x, y: abs(x) + abs(y) <= 1, 1)
     pairs = [(i, j, 4 - abs(u[0] - v[0]) - abs(u[1] - v[1]))
              for (i, u), (j, v) in itertools.combinations(enumerate(points), 2)]
     spans = [max(labels) for labels in itertools.permutations(range(10), 5)
              if all(abs(labels[i] - labels[j]) >= gap for i, j, gap in pairs)]
-    assert min(spans) + 1 == 10 == packing_chain_bound(3)
+    assert min(spans) + 1 == 10 == oracle.packing_chain_bound(3)
     assert lambda_lb(3).ceiled == 9
 
 

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridlabel
-from gridlabel import (BudgetExceeded, LabelingScheme, VerificationVerdict,
-                       bounds_table, label, label_rows, label_window,
-                       scheme_params, window_pairs)
+import oracle
+from conftest import hand_built, peak_traced_bytes, plain
+from gridlabel import (BudgetExceeded, VerificationVerdict, label_rows,
+                       label_window, scheme_params, window_pairs)
 from gridlabel import cli, verifier
 from gridlabel.bounds import bounds_records
 from gridlabel.verifier import (MAX_OBJECT_WINDOW_PAIRS, MAX_WINDOW_PAIRS,
@@ -33,13 +33,22 @@ from gridlabel.cli import (
 GOLDEN = Path(__file__).parent / "golden"
 REPORTS = json.loads((GOLDEN / "cli_reports.json").read_text())
 # (x + y) mod 12 breaks k = 3 at offset (1, 0): labels 0 and 1 need a gap of 3.
-MUTANT = LabelingScheme(k=3, p=1, parity_case="hand-built", a=1, b=1, c=12)
+MUTANT = hand_built(1, 1, 12)
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_work(*_args, **_kwargs):
+    raise AssertionError("work started that should have been refused first")
+
+
+def passing(scheme, width, height, *_args, **_kwargs):
+    """A window check that compares nothing and passes."""
+    return VerificationVerdict(True, window_pairs(scheme.k, width, height), ())
 
 
 def written(writer, *args):
@@ -59,99 +68,6 @@ def assert_same(got, want, context=""):
                     f"{len(want)}): got {got[near]!r}, want {want[near]!r}")
 
 
-# ---------------------------------------------- reference renderers
-#
-# The whole-string, cell-by-cell renderers the streamed writers replaced.
-# They are kept only here, as the reference the writers must match byte
-# for byte.
-
-def _decimal_str(f):
-    return f"{float(f):.6g}"
-
-
-def reference_render_label(scheme, x0, y0, width, height, fmt):
-    grid = label_window(scheme, x0, y0, width, height)
-    if fmt == "csv":
-        lines = ["x,y,label"]
-        for iy in range(height):
-            for ix in range(width):
-                lines.append(f"{x0 + ix},{y0 + iy},{int(grid[iy, ix])}")
-        return "\n".join(lines) + "\n"
-    if fmt == "ascii":
-        cell = len(str(scheme.c - 1))
-        lines = []
-        for iy in range(height - 1, -1, -1):  # matrix orientation: top row = max y
-            lines.append(" ".join(f"{int(v):>{cell}}" for v in grid[iy]))
-        return "\n".join(lines) + "\n"
-    if fmt == "pgm":
-        lines = ["P2", f"{width} {height}", f"{scheme.c - 1}"]
-        for iy in range(height - 1, -1, -1):
-            lines.append(" ".join(str(int(v)) for v in grid[iy]))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {
-            "k": scheme.k,
-            "scheme": {"a": scheme.a, "b": scheme.b, "c": scheme.c,
-                       "p": scheme.p, "case": scheme.parity_case},
-            "window": {"x0": x0, "y0": y0, "width": width, "height": height},
-            "cells": [
-                [x0 + ix, y0 + iy, int(grid[iy, ix])]
-                for iy in range(height)
-                for ix in range(width)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def reference_render_bounds(records, fmt):
-    if fmt == "csv":
-        lines = ["k,lower_exact,lower,upper,ratio_exact,ratio_decimal"]
-        for r in records:
-            upper = "" if r.upper is None else str(r.upper)
-            ratio_e = "" if r.ratio is None else str(r.ratio)
-            ratio_d = "" if r.ratio is None else _decimal_str(r.ratio)
-            lines.append(
-                f"{r.k},{str(r.lower_exact)},{r.lower},"
-                f"{upper},{ratio_e},{ratio_d}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {
-            "k_min": records[0].k,
-            "k_max": records[-1].k,
-            "records": [
-                {
-                    "k": r.k,
-                    "lower_exact": str(r.lower_exact),
-                    "lower": r.lower,
-                    "upper": r.upper,
-                    "ratio_exact": None if r.ratio is None else str(r.ratio),
-                    "ratio_decimal": None if r.ratio is None else _decimal_str(r.ratio),
-                }
-                for r in records
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "ascii":
-        header = ("k", "lower_exact", "lower", "upper", "ratio", "ratio_dec")
-        rows = [header]
-        for r in records:
-            rows.append((
-                str(r.k),
-                str(r.lower_exact),
-                str(r.lower),
-                "-" if r.upper is None else str(r.upper),
-                "-" if r.ratio is None else str(r.ratio),
-                "-" if r.ratio is None else _decimal_str(r.ratio),
-            ))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["  ".join(f"{cell:>{widths[i]}}" for i, cell in enumerate(row))
-                 for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
 
 
@@ -164,7 +80,8 @@ def test_write_label_matches_reference(k, fmt):
     for x0, y0 in [(0, 0), (-5, -7), (13, 4), (-3, 10**20)]:
         for w, h in [(1, 1), (1, 9), (9, 1), (37, 23)]:
             assert_same(written(write_label, s, x0, y0, w, h, fmt),
-                        reference_render_label(s, x0, y0, w, h, fmt), (x0, y0, w, h))
+                        oracle.render_label(*plain(s), s.p, s.parity_case,
+                                            x0, y0, w, h, fmt), (x0, y0, w, h))
 
 
 @settings(max_examples=80, deadline=None)
@@ -179,11 +96,8 @@ def test_write_label_matches_reference(k, fmt):
 def test_write_label_matches_reference_fuzz(k, x0, y0, w, h, fmt):
     s = scheme_params(k)
     assert_same(written(write_label, s, x0, y0, w, h, fmt),
-                reference_render_label(s, x0, y0, w, h, fmt))
-
-
-def hand_built(a, b, c):
-    return LabelingScheme(k=3, p=1, parity_case="hand-built", a=a, b=b, c=c)
+                oracle.render_label(*plain(s), s.p, s.parity_case, x0, y0, w, h,
+                                    fmt))
 
 
 # a >= c, negative a or b, a, b, c > 2^64 (Python-integer windows), and c = 1.
@@ -218,7 +132,8 @@ def test_write_label_rows_match_label_window(scheme, fmt):
     for x0, y0 in ORIGINS:
         for w, h in SIZES:
             assert_same(written(write_label, scheme, x0, y0, w, h, fmt),
-                        reference_render_label(scheme, x0, y0, w, h, fmt),
+                        oracle.render_label(*plain(scheme), scheme.p,
+                                            scheme.parity_case, x0, y0, w, h, fmt),
                         (x0, y0, w, h))
 
 
@@ -236,7 +151,8 @@ def test_write_label_rows_match_label_window(scheme, fmt):
 def test_write_label_rows_match_label_window_fuzz(a, b, c, x0, y0, w, h, fmt):
     s = hand_built(a, b, c)
     assert_same(written(write_label, s, x0, y0, w, h, fmt),
-                reference_render_label(s, x0, y0, w, h, fmt))
+                oracle.render_label(*plain(s), s.p, s.parity_case, x0, y0, w, h,
+                                    fmt))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
@@ -244,7 +160,7 @@ def test_write_bounds_matches_reference(fmt):
     for k_min, k_max in [(1, 2000), (2, 2), (7, 7), (1990, 2000),
                          (10**12 - 3, 10**12 + 3)]:
         assert_same(written(write_bounds, k_min, k_max, fmt),
-                    reference_render_bounds(bounds_table(k_min, k_max), fmt),
+                    oracle.render_bounds(k_min, k_max, fmt),
                     (k_min, k_max))
 
 
@@ -261,7 +177,9 @@ def test_label_command_matches_reference(capsys, fmt):
     code, out, _ = run_cli(capsys, ["label", "--k", "5", "--window=-4,3,6,5",
                                     "--format", fmt])
     assert code == 0
-    assert_same(out, reference_render_label(scheme_params(5), -4, 3, 6, 5, fmt))
+    s = scheme_params(5)
+    assert_same(out, oracle.render_label(*plain(s), s.p, s.parity_case, -4, 3, 6, 5,
+                                         fmt))
 
 
 class Chunks:
@@ -322,17 +240,10 @@ def test_label_csv_round_trip(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 16
     cells = {(int(r["x"]), int(r["y"])): int(r["label"]) for r in rows}
-    s = scheme_params(3)
-    assert all(cells[v] == label(s, v) for v in cells)
+    assert all(cells[v] == oracle.label(5, 15, 12, *v) for v in cells)
     # Re-verify the parsed grid pairwise: same verdict as direct checking.
-    ok = True
     pts = sorted(cells)
-    for i, u in enumerate(pts):
-        for v in pts[:i]:
-            d = abs(u[0] - v[0]) + abs(u[1] - v[1])
-            if d <= 3 and abs(cells[u] - cells[v]) < 4 - d:
-                ok = False
-    assert ok
+    assert oracle.valid_assignment(pts, [cells[v] for v in pts], 3)
 
 
 # ---------------------------------------------------------------- label
@@ -373,8 +284,8 @@ def test_label_json_schema(capsys):
     assert payload["scheme"] == {"a": 5, "b": 15, "c": 12, "p": 1,
                                  "case": "odd-k-odd-p"}
     assert payload["window"] == {"x0": 1, "y0": 2, "width": 2, "height": 1}
-    s = scheme_params(3)
-    assert payload["cells"] == [[1, 2, label(s, (1, 2))], [2, 2, label(s, (2, 2))]]
+    assert payload["cells"] == [[1, 2, oracle.label(5, 15, 12, 1, 2)],
+                                [2, 2, oracle.label(5, 15, 12, 2, 2)]]
 
 
 def test_label_window_too_large(capsys):
@@ -517,12 +428,6 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
                                                                 monkeypatch):
     # 1000x1000 at k = 300 is within the cell budget but has about 7.3e10
     # pairs to compare; it must be refused before any label is computed.
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("the window check ran")
-
-    def passing(scheme, width, height, *_args, **_kwargs):
-        return VerificationVerdict(True, window_pairs(scheme.k, width, height), ())
-
     monkeypatch.setattr(cli, "check_window", no_work)
     monkeypatch.setattr(cli, "label_rows", no_work)
     # 3664062 is the first k whose window check compares Python integers.
@@ -570,15 +475,13 @@ def test_verify_window_budget_follows_the_compared_type(capsys):
 
 def test_verify_window_pairs_budget_is_three_billion(monkeypatch):
     # A 1-wide window at k = 3072 has exactly 3 * 10^9 pairs at 978099 rows
-    # and 3072 more per extra row. Neither check nor labelling may run.
-    def passing(scheme, width, height, *_args, **_kwargs):
-        return VerificationVerdict(True, window_pairs(scheme.k, width, height), ())
-
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("a window was labelled")
-
+    # and 3072 more per extra row. Neither check nor labelling may run:
+    # windows are labelled by _label_grid, label_window's too, and rows by
+    # label_rows.
     monkeypatch.setattr(cli, "check_window", passing)
-    monkeypatch.setattr(gridlabel.verifier, "label_window", no_work)
+    for module, name in [(gridlabel.scheme, "_label_grid"), (verifier, "_label_grid"),
+                         (cli, "label_rows")]:
+        monkeypatch.setattr(module, name, no_work)
     s = scheme_params(3072)
     assert window_pairs(3072, 1, 978099) == 3 * 10**9
     for height in (978098, 978099):
@@ -591,8 +494,7 @@ def test_verify_window_pairs_budget_is_three_billion(monkeypatch):
 
 def test_verify_reports_sixteen_violations_by_default(capsys, monkeypatch):
     # (x + y) mod 3 violates at most offsets of k = 5.
-    monkeypatch.setattr(cli, "scheme_params", lambda k: LabelingScheme(
-        k=5, p=2, parity_case="hand-built", a=1, b=1, c=3))
+    monkeypatch.setattr(cli, "scheme_params", lambda k: hand_built(1, 1, 3, 5))
     code, out, _ = run_cli(capsys, ["verify", "--k", "5", "--mode", "both",
                                     "--window", "0,0,10,10", "--format", "csv"])
     rows = [line.split(",")[0] for line in out.splitlines()[1:]]
@@ -668,13 +570,8 @@ def bounds_peak(monkeypatch, fmt):
     """Characters written and peak traced memory of bounds for k <= 5000."""
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["bounds", "--k-min", "1", "--k-max", "5000",
-                     "--format", fmt])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_traced_bytes(
+        lambda: main(["bounds", "--k-min", "1", "--k-max", "5000", "--format", fmt]))
     assert code == 0
     return sink.chars, peak
 
@@ -958,9 +855,6 @@ def test_write_verify_rejects_an_unknown_mode_first(monkeypatch):
 
 
 def assert_rejected_before_work(monkeypatch, message, writer, *args):
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("work started before the arguments were checked")
-
     for name in ("check_diamond", "check_window", "check_no_hole",
                  "exact_span", "label_rows", "bounds_records"):
         monkeypatch.setattr(cli, name, no_work)

@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle
 from gridlabel import ball, sphere, t_set
-
-
-def scan_box(predicate, reach):
-    """Independent oracle: filter a large box by an arbitrary predicate."""
-    return sorted(
-        (x, y)
-        for x in range(-reach, reach + 1)
-        for y in range(-reach, reach + 2)
-        if predicate(x, y)
-    )
 
 
 def test_sphere_examples():
@@ -36,15 +27,15 @@ def test_t_set_examples():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
 def test_sets_match_box_scan_oracle(m):
-    assert sphere(m) == scan_box(lambda x, y: abs(x) + abs(y) == m, m + 2)
-    assert ball(m) == scan_box(lambda x, y: abs(x) + abs(y) <= m, m + 2)
-    assert t_set(m) == scan_box(
+    assert sphere(m) == oracle.scan_box(lambda x, y: abs(x) + abs(y) == m, m + 2)
+    assert ball(m) == oracle.scan_box(lambda x, y: abs(x) + abs(y) <= m, m + 2)
+    assert t_set(m) == oracle.scan_box(
         lambda x, y: min(abs(x) + abs(y), abs(x) + abs(y - 1)) == m, m + 2
     )
 
 
 def test_t_set_matches_a_box_scan_up_to_200():
-    # The same filter as scan_box, in array form: every point of the box
+    # The same filter as oracle.scan_box, in array form: every point of the box
     # [-m, m] x [-m, m + 1] whose nearer centre is at distance m.
     for m in range(201):
         xs, ys = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 2),

@@ -67,3 +67,19 @@ def test_result_records_are_immutable_and_pickle(record):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+
+def test_the_test_oracle_needs_nothing_from_the_package():
+    # Every expected result comes from tests/oracle.py, which must load and
+    # compute with the package unimportable.
+    assert "gridlabel" not in (ROOT / "tests" / "oracle.py").read_text()
+    script = ("import sys; sys.modules['gridlabel'] = None; import oracle; "
+              "assert oracle.check_diamond(5, 15, 12, 3) == (True, 24, ()); "
+              "assert oracle.perturbed([3]) and oracle.packing_chain_bound(3) == 10; "
+              "assert oracle.render_label(5, 15, 12, 3, 1, '', 0, 0, 2, 1, 'json'); "
+              "assert oracle.render_bounds(1, 3, 'ascii').count('\\n') == 4; "
+              "assert oracle.probe_feasible(2, 2, 2, 5, 100)[0] is True")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT / "tests",
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,12 @@
 """Scheme construction and label evaluation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from conftest import hand_built, peak_traced_bytes
 from gridlabel import (
     EVEN_K_EVEN_P,
     EVEN_K_ODD_P,
@@ -103,6 +103,7 @@ def test_all_cases_appear_and_exact_halving_up_to_1e4():
         if k == 2:
             continue
         s = scheme_params(k)  # raises ArithmeticError if a division were inexact
+        assert (s.a, s.b, s.c) == oracle.coefficients(k), k
         seen.add(s.parity_case)
         assert lambda_ub(k) == s.c
     assert seen == {ODD_K_ODD_P, ODD_K_EVEN_P, EVEN_K_ODD_P, EVEN_K_EVEN_P}
@@ -125,7 +126,7 @@ def test_label_many_matches_scalar():
         xs = np.array([-5, -1, 0, 1, 2, 100, -1000])
         ys = np.array([3, 0, -1, 1, -2, 99, 1000])
         out = label_many(s, xs, ys)
-        assert out.tolist() == [label(s, (int(x), int(y))) for x, y in zip(xs, ys)]
+        assert out.tolist() == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
 
 
 def test_label_many_object_fallback_for_huge_coordinates():
@@ -133,12 +134,13 @@ def test_label_many_object_fallback_for_huge_coordinates():
     xs = np.array([10**30, -(10**30)], dtype=object)
     ys = np.array([0, 0], dtype=object)
     out = label_many(s, xs, ys)
-    assert list(out) == [label(s, (10**30, 0)), label(s, (-(10**30), 0))]
+    assert list(out) == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
 
 
 def test_label_many_rejects_floats():
     # One TypeError for every non-integer coordinate, on the int64 path
-    # (k = 3) and the exact one (k = 9190), whichever operand carries it.
+    # (k = 3) and the exact one (k = 9190), whichever operand carries it,
+    # also where it meets an empty operand or one it cannot broadcast with.
     # numpy turns timedelta64[ns] elements into Python integers, so the
     # dtype is refused as well as the element.
     ones = np.array([1])
@@ -149,8 +151,10 @@ def test_label_many_rejects_floats():
         s = scheme_params(k)
         with pytest.raises(TypeError):
             label_many(s, np.array([0.5]), np.array([1.0]))
-        for bad in non_integers:
-            for xs, ys in [(bad, ones), (ones, bad)]:
+        for bad, other in [*((bad, ones) for bad in non_integers),
+                           (np.array([None], dtype=object), []),
+                           (np.array([0.5, 1], dtype=object), np.arange(3))]:
+            for xs, ys in [(bad, other), (other, bad)]:
                 with pytest.raises(TypeError):
                     label_many(s, xs, ys)
 
@@ -164,7 +168,8 @@ def test_scalar_coordinates_must_be_integers():
     big = np.int64(1 << 62)
     assert label(s, (big, big)) == 8
     assert list(label_rows(s, big, 2, range(1))) == [[8, 1]]
-    assert list(label_rows(s, 0, 1, [big])) == [[label(s, (0, 1 << 62))]]
+    assert list(label_rows(s, 0, 1, [big])) == \
+        oracle.label_grid(s.a, s.b, s.c, 0, 1 << 62, 1, 1)
     for call in [lambda: label(s, (0.5, 0)), lambda: label_window(s, 0.5, 0, 2, 1),
                  lambda: label_window(s, 0, 0.5, 2, 1),
                  lambda: next(label_rows(s, 0.5, 2, range(1))),
@@ -181,7 +186,7 @@ def test_label_window_orientation():
     assert grid[0].tolist() == [0, 5, 10, 3]   # y = 0
     assert grid[1].tolist() == [3, 8, 1, 6]    # y = 1
     shifted = label_window(s, -2, 5, 3, 1)
-    assert shifted[0].tolist() == [label(s, (x, 5)) for x in (-2, -1, 0)]
+    assert shifted.tolist() == oracle.label_grid(s.a, s.b, s.c, -2, 5, 3, 1)
 
 
 def test_label_window_validates_dimensions():
@@ -196,13 +201,9 @@ INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 EDGE_COORDS = [INT64_MIN, INT64_MIN + 1, -1, 0, 1, 12345, INT64_MAX - 1, INT64_MAX]
 
 
-def hand_built(a, b, c):
-    return LabelingScheme(k=3, p=1, parity_case="hand-built", a=a, b=b, c=c)
-
-
 def assert_matches_scalar(s, xs, ys):
     out = label_many(s, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
-    assert out.tolist() == [label(s, (x, y)) for x, y in zip(xs, ys)]
+    assert out.tolist() == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
     return out
 
 
@@ -219,8 +220,7 @@ def test_label_many_exact_at_path_boundary(k, dtype):
 def assert_window_matches_scalar(s, x0, y0, width, height):
     grid = label_window(s, x0, y0, width, height)
     x0, y0 = int(x0), int(y0)
-    assert grid.tolist() == [[label(s, (x0 + i, y0 + j)) for i in range(width)]
-                             for j in range(height)]
+    assert grid.tolist() == oracle.label_grid(s.a, s.b, s.c, x0, y0, width, height)
     # No intermediate exceeds c in magnitude, so the grid is int64 while
     # its labels fit.
     assert grid.dtype == (np.int64 if s.c <= INT64_MAX else object)
@@ -408,8 +408,7 @@ def test_object_path_keeps_numpy_integer_elements_exact():
     xs = np.array([np.int64(INT64_MAX), 10**30], dtype=object)
     ys = np.array([np.int64(INT64_MIN), np.uint64(2**64 - 1)], dtype=object)
     out = label_many(s, xs, ys)
-    assert out.tolist() == [label(s, (INT64_MAX, INT64_MIN)),
-                            label(s, (10**30, 2**64 - 1))]
+    assert out.tolist() == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
 
 
 def test_label_many_rejects_floats_in_object_arrays():
@@ -432,7 +431,7 @@ def test_label_many_exact_for_every_integer_dtype(k, dtype):
     xs = np.array([x for x in edges for _ in edges], dtype=dtype)
     ys = np.array(edges * len(edges), dtype=dtype)
     out = label_many(s, xs, ys)
-    assert out.tolist() == [label(s, (int(x), int(y))) for x, y in zip(xs, ys)]
+    assert out.tolist() == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
 
 
 # ------------------------------------------------- in-place int64 kernel
@@ -445,13 +444,6 @@ KERNEL_SIZES = [9, 1024]
 def sized(values, size, dtype=np.int64):
     """values repeated or cut to size elements."""
     return np.resize(np.array(values, dtype=dtype), size)
-
-
-def scalar_labels(s, xs, ys):
-    """label at every broadcast position of xs and ys, as tolist() gives."""
-    bx, by = np.broadcast_arrays(np.asarray(xs), np.asarray(ys))
-    flat = [label(s, (int(x), int(y))) for x, y in zip(bx.flat, by.flat)]
-    return np.array(flat, dtype=object).reshape(bx.shape).tolist()
 
 
 def kernel_inputs(s, size):
@@ -476,7 +468,7 @@ def test_label_many_never_writes_its_inputs(k, size):
         for ys in inputs.values():
             before = xs.copy(), ys.copy()
             out = np.asarray(label_many(s, xs, ys))
-            assert out.tolist() == scalar_labels(s, xs, ys)
+            assert out.tolist() == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
             for old, new in zip(before, (xs, ys)):
                 assert new.dtype == old.dtype
                 assert np.array_equal(new, old)
@@ -493,27 +485,30 @@ def test_int64_kernel_edge_cases(size):
     assert (a + b) * (tight.c - 1) == INT64_MAX
     extremes = [INT64_MIN, INT64_MIN + 1, INT64_MAX]
     for scheme in (s, tight):
+        abc = scheme.a, scheme.b, scheme.c
         xs = sized([x for x in extremes for _ in extremes], size)
         ys = sized(extremes * len(extremes), size)
         out = label_many(scheme, xs, ys)
         assert out.dtype == np.int64
-        assert out.tolist() == scalar_labels(scheme, xs, ys)
+        assert out.tolist() == oracle.broadcast_labels(*abc, xs, ys)
         # Two 0-d operands are labelled in Python integers and a lone one
         # as a 1-element array: on numpy scalars the wrapping product
         # would warn.
         for x0 in (np.int64(INT64_MIN), np.array(INT64_MIN)):
             point = label_many(scheme, x0, x0)
             assert type(point) is np.int64
-            assert point == label(scheme, (INT64_MIN, INT64_MIN))
-            assert label_many(scheme, x0, ys).tolist() == scalar_labels(scheme, x0, ys)
+            assert point == oracle.label(*abc, INT64_MIN, INT64_MIN)
+            assert label_many(scheme, x0, ys).tolist() == \
+                oracle.broadcast_labels(*abc, x0, ys)
     column = sized(EDGE_COORDS, size).reshape(-1, 1)
     row = np.array(EDGE_COORDS, dtype=np.int64)
     for xs, ys in [(column, row), (row, column)]:
         out = label_many(s, xs, ys)
         assert out.shape == (column.size, row.size)
-        assert out.tolist() == scalar_labels(s, xs, ys)
+        assert out.tolist() == oracle.broadcast_labels(s.a, s.b, s.c, xs, ys)
     top = sized([2**64 - 1], size, np.uint64)
-    assert label_many(s, top, top).tolist() == scalar_labels(s, top, top)
+    assert label_many(s, top, top).tolist() == \
+        oracle.broadcast_labels(s.a, s.b, s.c, top, top)
 
 
 def test_int64_kernel_allocates_two_arrays():
@@ -525,10 +520,5 @@ def test_int64_kernel_allocates_two_arrays():
     xs = rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True)
     ys = rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True)
     label_many(s, xs[:10], ys[:10])  # first-call imports stay out of the peak
-    tracemalloc.start()
-    try:
-        label_many(s, xs, ys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_traced_bytes(lambda: label_many(s, xs, ys))
     assert peak <= 2 * 8 * n + 64 * 1024

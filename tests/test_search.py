@@ -1,11 +1,11 @@
 """Exact patch search against brute-force enumeration oracles."""
 
 import time
-import tracemalloc
-from itertools import product
 
 import pytest
 
+import oracle
+from conftest import peak_traced_bytes
 from gridlabel import (
     InvalidPatch,
     Patch,
@@ -15,26 +15,6 @@ from gridlabel import (
 from gridlabel.search import DEFAULT_NODE_BUDGET, _clique, _gap_constraints, _greedy
 
 
-def valid_assignment(cells, labels, k):
-    for i, u in enumerate(cells):
-        for j in range(i):
-            v = cells[j]
-            d = abs(u[0] - v[0]) + abs(u[1] - v[1])
-            if d <= k and abs(labels[i] - labels[j]) < k + 1 - d:
-                return False
-    return True
-
-
-def brute_minimal_lambda(patch, k, lam_cap):
-    """Oracle: try every assignment from {0..lam-1}^n, smallest lam first."""
-    cells = patch.vertices()
-    for lam in range(1, lam_cap + 1):
-        for asg in product(range(lam), repeat=len(cells)):
-            if valid_assignment(cells, asg, k):
-                return lam
-    return None
-
-
 # exact_span's greedy start and clique bound, from a patch and k.
 def greedy(patch, k):
     return _greedy(patch, _gap_constraints(patch, k))
@@ -42,99 +22,6 @@ def greedy(patch, k):
 
 def clique(patch, k):
     return _clique(_gap_constraints(patch, k), k)
-
-
-def check_certificate(patch, k, cert, lam):
-    cells = patch.vertices()
-    assert set(cert) == set(cells)
-    assert all(0 <= cert[v] < lam for v in cells)
-    assert valid_assignment(cells, [cert[v] for v in cells], k)
-
-
-# Reference implementations: the label-by-label scans the bitmask search
-# replaced. They define the search tree, the node count and the certificate
-# that the package must reproduce exactly.
-
-def reference_constraints(patch, k):
-    cells = patch.vertices()
-    cons = []
-    for i, (xi, yi) in enumerate(cells):
-        row = []
-        for j in range(i):
-            xj, yj = cells[j]
-            d = abs(xi - xj) + abs(yi - yj)
-            if d <= k:
-                row.append((j, k + 1 - d))
-        cons.append(row)
-    return cons
-
-
-def reference_greedy_certificate(patch, k):
-    cons = reference_constraints(patch, k)
-    labels = []
-    for i in range(patch.n_vertices):
-        lab = 0
-        while any(abs(lab - labels[j]) < gap for j, gap in cons[i]):
-            lab += 1
-        labels.append(lab)
-    verts = patch.vertices()
-    return {verts[i]: labels[i] for i in range(len(verts))}
-
-
-def reference_clique_lower_bound(patch, k):
-    """The ball scan by distance that the constraint-list bound replaced."""
-    m = k // 2
-    cells = patch.vertices()
-    best = 1
-    for cx, cy in cells:
-        size = sum(1 for x, y in cells if abs(x - cx) + abs(y - cy) <= m)
-        if size > best:
-            best = size
-    return best
-
-
-def reference_probe_feasible(patch, k, lam, node_budget=DEFAULT_NODE_BUDGET):
-    if lam < 1:
-        return False, None, 0
-    cons = reference_constraints(patch, k)
-    n = patch.n_vertices
-    labels = [-1] * n
-    next_try = [0] * n
-    limits = [lam - 1] * n
-    limits[0] = (lam - 1) // 2
-    nodes = 0
-    i = 0
-    while True:
-        placed = False
-        lab = next_try[i]
-        limit = limits[i]
-        while lab <= limit:
-            nodes += 1
-            if nodes > node_budget:
-                return None, None, nodes
-            ok = True
-            for j, gap in cons[i]:
-                if abs(lab - labels[j]) < gap:
-                    ok = False
-                    break
-            if ok:
-                placed = True
-                break
-            lab += 1
-        if placed:
-            labels[i] = lab
-            next_try[i] = lab + 1
-            i += 1
-            if i == n:
-                verts = patch.vertices()
-                return True, {verts[t]: labels[t] for t in range(n)}, nodes
-            next_try[i] = 0
-        else:
-            next_try[i] = 0
-            i -= 1
-            if i < 0:
-                return False, None, nodes
-            labels[i] = -1
 
 
 # Patches up to 3x4 with k <= 6, kept to those whose probes up to the
@@ -150,12 +37,12 @@ EQUIVALENCE_CASES = [
 def test_probe_matches_reference(rows, cols, k):
     patch = Patch(rows, cols)
     lam = 0
-    while reference_probe_feasible(patch, k, lam)[0] is not True:
+    while oracle.probe_feasible(*patch, k, lam, DEFAULT_NODE_BUDGET)[0] is not True:
         lam += 1
     for lam in range(lam + 3):
-        stop = reference_probe_feasible(patch, k, lam)[2]
+        stop = oracle.probe_feasible(*patch, k, lam, DEFAULT_NODE_BUDGET)[2]
         for budget in sorted({-1, 0, 1, 7, stop - 1, stop, DEFAULT_NODE_BUDGET}):
-            expected = reference_probe_feasible(patch, k, lam, budget)
+            expected = oracle.probe_feasible(*patch, k, lam, budget)
             assert probe_feasible(patch, k, lam, budget) == expected, (lam, budget)
 
 
@@ -166,17 +53,13 @@ def test_probe_matches_reference(rows, cols, k):
 ])
 def test_probe_matches_reference_for_large_k_and_lam(rows, cols, k, lam, budget):
     patch = Patch(rows, cols)
-    expected = reference_probe_feasible(patch, k, lam, budget)
+    expected = oracle.probe_feasible(*patch, k, lam, budget)
     assert probe_feasible(patch, k, lam, budget) == expected
 
 
 def test_probe_memory_follows_budget_not_k_or_lam():
-    tracemalloc.start()
-    try:
-        res = probe_feasible(Patch(8, 8), 3 * 10**7, 10**8, node_budget=10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = peak_traced_bytes(
+        lambda: probe_feasible(Patch(8, 8), 3 * 10**7, 10**8, node_budget=10_000))
     assert res == (None, None, 10_001)
     assert peak < 2**20, peak
 
@@ -186,7 +69,7 @@ def test_probe_memory_follows_budget_not_k_or_lam():
 ])
 def test_greedy_matches_reference(rows, cols, k):
     patch = Patch(rows, cols)
-    assert greedy(patch, k) == reference_greedy_certificate(patch, k)
+    assert greedy(patch, k) == oracle.greedy_certificate(*patch, k)
 
 
 # Every search fixture of the benchmark; the node counts sum to 9 045 428.
@@ -201,7 +84,7 @@ def test_pinned_node_counts(rows, cols, k, lam, nodes):
     # must count the same tree as the reference scan.
     res = exact_span(Patch(rows, cols), k)
     assert (res.minimal_lambda, res.nodes_explored, res.exhausted) == (lam, nodes, True)
-    check_certificate(Patch(rows, cols), k, res.certificate, lam)
+    assert oracle.certificate_ok(rows, cols, k, res.certificate, lam)
 
 
 def test_budget_stop_is_exact():
@@ -223,16 +106,16 @@ def test_single_vertex():
 def test_3x3_k1_bipartite():
     res = exact_span(Patch(3, 3), 1)
     assert res.minimal_lambda == 2 and res.exhausted
-    check_certificate(Patch(3, 3), 1, res.certificate, 2)
+    assert oracle.certificate_ok(3, 3, 1, res.certificate, 2)
 
 
 def test_2x2_k2_is_five():
     res = exact_span(Patch(2, 2), 2)
     assert res.minimal_lambda == 5 and res.exhausted
-    check_certificate(Patch(2, 2), 2, res.certificate, 5)
+    assert oracle.certificate_ok(2, 2, 2, res.certificate, 5)
     feasible, _, _ = probe_feasible(Patch(2, 2), 2, 4)
     assert feasible is False
-    assert brute_minimal_lambda(Patch(2, 2), 2, 6) == 5
+    assert oracle.brute_minimal_lambda(2, 2, 2, 6) == 5
 
 
 @pytest.mark.parametrize(
@@ -245,15 +128,15 @@ def test_2x2_k2_is_five():
 def test_matches_brute_force_oracle(rows, cols, k, cap):
     res = exact_span(Patch(rows, cols), k)
     assert res.exhausted
-    assert res.minimal_lambda == brute_minimal_lambda(Patch(rows, cols), k, cap)
-    check_certificate(Patch(rows, cols), k, res.certificate, res.minimal_lambda)
+    assert res.minimal_lambda == oracle.brute_minimal_lambda(rows, cols, k, cap)
+    assert oracle.certificate_ok(rows, cols, k, res.certificate, res.minimal_lambda)
 
 
 def test_4x4_k3_equals_scheme_size():
     res = exact_span(Patch(4, 4), 3)
     assert res.exhausted
     assert res.minimal_lambda == 12
-    check_certificate(Patch(4, 4), 3, res.certificate, 12)
+    assert oracle.certificate_ok(4, 4, 3, res.certificate, 12)
 
 
 def test_monotone_in_patch_dimensions():
@@ -289,7 +172,7 @@ def test_budget_exhaustion_falls_back_to_greedy():
     first_fit = greedy(Patch(3, 3), 2)
     assert res.certificate == first_fit
     assert res.minimal_lambda == max(first_fit.values()) + 1
-    check_certificate(Patch(3, 3), 2, res.certificate, res.minimal_lambda)
+    assert oracle.certificate_ok(3, 3, 2, res.certificate, res.minimal_lambda)
     exact = exact_span(Patch(3, 3), 2)
     assert exact.minimal_lambda <= res.minimal_lambda
 
@@ -363,5 +246,5 @@ ALL_PATCHES = [Patch(rows, cols) for rows in range(1, 65)
 def test_clique_and_greedy_match_reference_on_every_patch(k):
     for p in ALL_PATCHES:
         cons = _gap_constraints(p, k)
-        assert _clique(cons, k) == reference_clique_lower_bound(p, k), p
-        assert _greedy(p, cons) == reference_greedy_certificate(p, k), p
+        assert _clique(cons, k) == oracle.clique_lower_bound(*p, k), p
+        assert _greedy(p, cons) == oracle.greedy_certificate(*p, k), p

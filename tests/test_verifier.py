@@ -2,18 +2,18 @@
 
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from conftest import hand_built, peak_traced_bytes, plain
 from gridlabel import verifier
 from gridlabel import (
     GCD_AB_ALLOWED,
     BudgetExceeded,
-    LabelingScheme,
     ViolationReport,
     check_diamond,
     check_no_hole,
@@ -25,119 +25,6 @@ from gridlabel import (
     scheme_params,
     window_pairs,
 )
-
-
-def naive_window_check(scheme, width, height, x0=0, y0=0):
-    """Oracle: literal double loop over all pairs at distance <= k.
-
-    Violating pairs are keyed by their difference vector taken
-    larger-label-first; ties use the x >= 0 half representative, matching
-    the library's reporting convention.
-    """
-    k = scheme.k
-    cells = [(x0 + x, y0 + y) for y in range(height) for x in range(width)]
-    witness_offsets = set()
-    for i, u in enumerate(cells):
-        for v in cells[:i]:
-            d = abs(u[0] - v[0]) + abs(u[1] - v[1])
-            if d > k:
-                continue
-            lu, lv = label(scheme, u), label(scheme, v)
-            if abs(lu - lv) >= k + 1 - d:
-                continue
-            if lu != lv:
-                hi, lo = (u, v) if lu > lv else (v, u)
-                off = (hi[0] - lo[0], hi[1] - lo[1])
-            else:
-                off = (u[0] - v[0], u[1] - v[1])
-                if off[0] < 0 or (off[0] == 0 and off[1] < 0):
-                    off = (-off[0], -off[1])
-            witness_offsets.add(off)
-    return witness_offsets
-
-
-def mutant(k, a, b, c):
-    return LabelingScheme(k=k, p=(k - 1) // 2 if k % 2 else k // 2,
-                          parity_case="hand-built", a=a, b=b, c=c)
-
-
-def dense_label_count(scheme):
-    """Oracle: distinct labels of the c-by-c period, in plain Python."""
-    a, b, c = scheme.a, scheme.b, scheme.c
-    return len({(a * x + b * y) % c for x in range(c) for y in range(c)})
-
-
-# ------------------------------------------------- reference kernels
-#
-# The scalar diamond loop and the window loop over 2-D slices, one per
-# offset, that the array kernels replaced. They are kept only here, as the
-# reference the kernels must match verdict for verdict.
-
-def diamond_offsets(k):
-    """All offsets (x, y) with 1 <= |x|+|y| <= k, lexicographic order."""
-    for x in range(-k, k + 1):
-        span = k - abs(x)
-        for y in range(-span, span + 1):
-            if x == 0 and y == 0:
-                continue
-            yield (x, y)
-
-
-def reference_check_diamond(scheme, max_violations=verifier.DEFAULT_MAX_VIOLATIONS):
-    k = scheme.k
-    violations = []
-    checked = 0
-    for off in diamond_offsets(k):
-        checked += 1
-        r = abs(off[0]) + abs(off[1])
-        required = k + 1 - r
-        actual = label(scheme, off)
-        if actual < required:
-            violations.append(ViolationReport(off, r, required, actual))
-    return verifier.VerificationVerdict(
-        passed=not violations,
-        checked_pairs=checked,
-        violations=tuple(violations[:max_violations]),
-    )
-
-
-def reference_check_window(scheme, width, height,
-                           max_violations=verifier.DEFAULT_MAX_VIOLATIONS, *,
-                           x0=0, y0=0):
-    k = scheme.k
-    grid = label_window(scheme, x0, y0, width, height)
-    reports = {}
-    pairs = 0
-    for dx in range(0, min(k, width - 1) + 1):
-        reach = min(k - dx, height - 1)
-        dy_values = range(1, reach + 1) if dx == 0 else range(-reach, reach + 1)
-        for dy in dy_values:
-            if dy >= 0:
-                base = grid[: height - dy, : width - dx]
-                shifted = grid[dy:, dx:]
-            else:
-                base = grid[-dy:, : width - dx]
-                shifted = grid[: height + dy, dx:]
-            pairs += base.size
-            diff = shifted - base
-            gap = np.abs(diff)
-            r = dx + abs(dy)
-            required = k + 1 - r
-            mask = gap < required
-            if not mask.any():
-                continue
-            if (mask & (diff >= 0)).any():
-                off = (dx, dy)
-                reports[off] = ViolationReport(off, r, required, label(scheme, off))
-            if (mask & (diff < 0)).any():
-                off = (-dx, -dy)
-                reports[off] = ViolationReport(off, r, required, label(scheme, off))
-    ordered = tuple(sorted(reports.values(), key=lambda rep: rep.offset))
-    return verifier.VerificationVerdict(
-        passed=not reports,
-        checked_pairs=pairs,
-        violations=ordered[:max_violations],
-    )
 
 
 # ------------------------------------------------------- label_difference
@@ -159,7 +46,8 @@ def test_label_difference_exact_for_numpy_coordinates():
     # Python integers, not as np.int64.
     s7 = scheme_params(7)
     u, v = (np.int64(2**62), np.int64(0)), (np.int64(-2**62), np.int64(0))
-    expected = abs(label(s7, (2**62, 0)) - label(s7, (-2**62, 0)))
+    expected = abs(oracle.label(s7.a, s7.b, s7.c, 2**62, 0)
+                   - oracle.label(s7.a, s7.b, s7.c, -2**62, 0))
     assert expected == 4
     assert label_difference(s7, u, v) == expected
     assert label_difference(s7, v, u) == expected
@@ -173,14 +61,15 @@ def test_label_difference_exact_for_numpy_coordinates():
 )
 def test_label_difference_equals_absolute_gap(k, x1, y1, x2, y2):
     s = scheme_params(k)
-    expected = abs(label(s, (x1, y1)) - label(s, (x2, y2)))
+    a, b, c = s.a, s.b, s.c
+    expected = abs(oracle.label(a, b, c, x1, y1) - oracle.label(a, b, c, x2, y2))
     assert label_difference(s, (x1, y1), (x2, y2)) == expected
 
 
 # ----------------------------------------------------------- check_diamond
 
 def test_diamond_offsets_count_and_order():
-    offs = list(diamond_offsets(3))
+    offs = list(oracle.diamond_offsets(3))
     assert len(offs) == 24
     assert offs == sorted(offs)
     assert all(1 <= abs(x) + abs(y) <= 3 for x, y in offs)
@@ -194,7 +83,7 @@ def test_diamond_passes_for_real_schemes():
 
 
 def test_diamond_flags_hand_built_scheme():
-    verdict = check_diamond(mutant(3, 1, 1, 12))
+    verdict = check_diamond(hand_built(1, 1, 12))
     assert not verdict.passed
     assert ViolationReport((1, 0), 1, 3, 1) in verdict.violations
     assert list(verdict.violations) == sorted(verdict.violations,
@@ -205,15 +94,15 @@ def test_diamond_flags_hand_built_scheme():
 
 
 def test_diamond_violation_cap():
-    verdict = check_diamond(mutant(5, 1, 1, 3), max_violations=4)
+    verdict = check_diamond(hand_built(1, 1, 3, 5), max_violations=4)
     assert not verdict.passed
     assert len(verdict.violations) == 4
-    verdict = check_diamond(mutant(5, 1, 1, 3), max_violations=0)
+    verdict = check_diamond(hand_built(1, 1, 3, 5), max_violations=0)
     assert not verdict.passed and verdict.violations == ()
 
 
 def test_checks_report_sixteen_violations_by_default():
-    s = mutant(5, 1, 1, 3)
+    s = hand_built(1, 1, 3, 5)
     assert len(check_diamond(s, 10**6).violations) > 16
     assert len(check_window(s, 10, 10, 10**6).violations) > 16
     assert len(check_diamond(s).violations) == 16
@@ -224,7 +113,7 @@ def test_checks_report_sixteen_violations_by_default():
                                    lambda s, m: check_window(s, 10, 10, m)])
 def test_negative_max_violations_rejected(check):
     with pytest.raises(ValueError, match="max_violations"):
-        check(mutant(3, 1, 1, 12), -1)
+        check(hand_built(1, 1, 12), -1)
 
 
 # ------------------------------------------------------------ check_window
@@ -248,7 +137,7 @@ def test_k1_adjacent_labels_differ_by_exactly_one():
 
 
 def test_window_flags_hand_built_scheme():
-    verdict = check_window(mutant(3, 1, 1, 12), 10, 10)
+    verdict = check_window(hand_built(1, 1, 12), 10, 10)
     assert not verdict.passed
     assert ViolationReport((1, 0), 1, 3, 1) in verdict.violations
     assert list(verdict.violations) == sorted(verdict.violations,
@@ -257,24 +146,24 @@ def test_window_flags_hand_built_scheme():
 
 def test_window_matches_naive_oracle_on_mutants():
     cases = [
-        mutant(3, 1, 1, 12),
-        mutant(3, 5, 15, 15),
-        mutant(4, 5, 19, 26),
-        mutant(5, 7, 27, 37),
-        mutant(1, 2, 3, 4),
+        hand_built(1, 1, 12),
+        hand_built(5, 15, 15),
+        hand_built(5, 19, 26, 4),
+        hand_built(7, 27, 37, 5),
+        hand_built(2, 3, 4, 1),
     ]
     for s in cases:
         for x0, y0 in [(0, 0), (11, 0), (5, 7), (-3, 4)]:
             verdict = check_window(s, 12, 12, max_violations=10**6, x0=x0, y0=y0)
-            oracle = naive_window_check(s, 12, 12, x0, y0)
-            assert verdict.passed == (not oracle)
-            assert {rep.offset for rep in verdict.violations} == oracle
+            witnesses = oracle.naive_window_check(*plain(s), 12, 12, x0, y0)
+            assert verdict.passed == (not witnesses)
+            assert {rep.offset for rep in verdict.violations} == witnesses
 
 
 def test_window_checks_the_window_at_its_origin():
     # L = (x + y) mod 12 gives (0,0),(1,0) labels 0,1 (gap 1 < 3) but
     # (11,0),(12,0) labels 11,0 (gap 11).
-    s = mutant(3, 1, 1, 12)
+    s = hand_built(1, 1, 12)
     assert not check_window(s, 2, 1).passed
     assert check_window(s, 2, 1, x0=11).passed
     assert check_window(s, 2, 1, x0=11, y0=12).passed
@@ -287,18 +176,12 @@ def test_window_checks_the_window_at_its_origin():
     st.integers(-50, 50), st.integers(-50, 50),
 )
 def test_window_agrees_with_naive_oracle_fuzz(k, a, b, c, x0, y0):
-    s = mutant(k, a, b, c)
+    s = hand_built(a, b, c, k)
     w = h = k + 3
     verdict = check_window(s, w, h, max_violations=10**6, x0=x0, y0=y0)
-    oracle = naive_window_check(s, w, h, x0, y0)
-    assert verdict.passed == (not oracle)
-    assert {rep.offset for rep in verdict.violations} == oracle
-
-
-def brute_pair_count(k, width, height):
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    return sum(1 for i, u in enumerate(cells) for v in cells[:i]
-               if abs(u[0] - v[0]) + abs(u[1] - v[1]) <= k)
+    witnesses = oracle.naive_window_check(*plain(s), w, h, x0, y0)
+    assert verdict.passed == (not witnesses)
+    assert {rep.offset for rep in verdict.violations} == witnesses
 
 
 @pytest.mark.parametrize("k, width, height", [
@@ -306,7 +189,7 @@ def brute_pair_count(k, width, height):
 ])
 def test_window_pair_count_when_window_is_narrower_than_k(k, width, height):
     verdict = check_window(scheme_params(k), width, height)
-    assert verdict.checked_pairs == brute_pair_count(k, width, height)
+    assert verdict.checked_pairs == oracle.brute_pair_count(k, width, height)
 
 
 def test_window_pair_count_when_k_spans_the_window():
@@ -316,20 +199,13 @@ def test_window_pair_count_when_k_spans_the_window():
     assert verdict.checked_pairs == 900 * 899 // 2
 
 
-def offset_pair_count(k, width, height):
-    """Pairs at each offset (dx, dy) with dx > 0, or dx = 0 < dy, summed."""
-    return sum((width - dx) * (height - abs(dy))
-               for dx in range(min(k, width - 1) + 1)
-               for dy in range(-min(k - dx, height - 1), min(k - dx, height - 1) + 1)
-               if dx > 0 or dy > 0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 90), st.integers(1, 90))
 def test_window_pairs_sums_the_pairs_of_every_offset(k, width, height):
-    assert window_pairs(k, width, height) == offset_pair_count(k, width, height)
+    assert window_pairs(k, width, height) == oracle.offset_pair_count(k, width, height)
     if width * height <= 40:
-        assert window_pairs(k, width, height) == brute_pair_count(k, width, height)
+        assert window_pairs(k, width, height) == \
+            oracle.brute_pair_count(k, width, height)
 
 
 def test_window_validates_dimensions():
@@ -364,7 +240,7 @@ def test_window_pairs_reads_numpy_integers_exactly():
 def test_a_hand_built_k2_scheme_passes_every_audit():
     # (2x + 3y) mod 7: k = 2 has no scheme_params case, but a scheme may
     # carry it, and it is a valid, no-hole labeling.
-    s = LabelingScheme(2, 1, "hand-built", 2, 3, 7)
+    s = hand_built(2, 3, 7, 2)
     assert check_diamond(s).passed
     assert check_window(s, 20, 20).passed
     assert check_no_hole(s, "both").is_no_hole
@@ -374,7 +250,7 @@ def test_injectivity_within_reuse_distance():
     # Distinct vertices at distance <= k never share a label (gap >= 1).
     for k in [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]:
         s = scheme_params(k)
-        for off in diamond_offsets(k):
+        for off in oracle.diamond_offsets(k):
             assert label(s, off) != 0, (k, off)
 
 
@@ -384,24 +260,12 @@ SUPPORTED_UP_TO_80 = [1] + list(range(3, 81))
 CAPS = [0, 1, 4, 16, 10**6]
 
 
-def perturbed_schemes(ks):
-    """+-1 on one of a, b, c of each real scheme, kept when it breaks."""
-    for k in ks:
-        s = scheme_params(k)
-        for a, b, c in [(s.a + 1, s.b, s.c), (s.a - 1, s.b, s.c),
-                        (s.a, s.b + 1, s.c), (s.a, s.b - 1, s.c),
-                        (s.a, s.b, s.c + 1), (s.a, s.b, s.c - 1)]:
-            m = mutant(k, a, b, c)
-            if not reference_check_diamond(m).passed:
-                yield m
-
-
 # Triples past 2^64: no int64 path applies, labels are Python integers.
 # The first two put small labels next to the origin, so most offsets
 # violate; the last is valid-looking noise.
 HUGE = 2**70 + 11
 OBJECT_PATH_SCHEMES = [
-    mutant(k, a, b, c)
+    hand_built(a, b, c, k)
     for k in (1, 3, 4, 9)
     for a, b, c in [(HUGE + 1, 2 * HUGE - 1, HUGE), (2**65 + 3, 2**66 + 5, HUGE),
                     (3**45, 5**30, 2**67 + 1)]
@@ -411,31 +275,33 @@ OBJECT_PATH_SCHEMES = [
 def test_diamond_matches_reference_on_real_schemes():
     for k in SUPPORTED_UP_TO_80 + [501]:
         s = scheme_params(k)
-        assert check_diamond(s) == reference_check_diamond(s), k
+        assert check_diamond(s) == oracle.check_diamond(*plain(s)), k
 
 
 def test_window_matches_reference_on_real_schemes():
     for k in SUPPORTED_UP_TO_80 + [501]:
         s = scheme_params(k)
         assert (check_window(s, 16, 12, x0=-7, y0=13)
-                == reference_check_window(s, 16, 12, x0=-7, y0=13)), k
+                == oracle.check_window(*plain(s), 16, 12, x0=-7, y0=13)), k
 
 
 def test_kernels_match_reference_past_the_violation_cap():
-    schemes = list(perturbed_schemes([1] + list(range(3, 13))))
+    schemes = [hand_built(*m) for m in oracle.perturbed([1] + list(range(3, 13)))]
     # Schemes that violate at most offsets, far past every finite cap.
-    schemes += [mutant(k, a, b, c) for k in (3, 5, 9, 14)
+    schemes += [hand_built(a, b, c, k) for k in (3, 5, 9, 14)
                 for a, b, c in [(1, 1, 3), (1, 2, 50), (0, 0, 7), (2, 3, 7)]]
     assert len(schemes) >= 20
-    counts = [len(reference_check_diamond(s, 10**6).violations) for s in schemes]
+    counts = [len(oracle.check_diamond(*plain(s), 10**6).violations) for s in schemes]
     assert sum(n > 16 for n in counts) >= 5, counts
     for s in schemes:
         for cap in CAPS:
-            assert check_diamond(s, cap) == reference_check_diamond(s, cap), (s, cap)
+            assert check_diamond(s, cap) == oracle.check_diamond(*plain(s), cap), \
+                (s, cap)
         # The window caps its sorted reports in one slice, as before.
         for cap in (0, 10**6):
             assert (check_window(s, 20, 20, cap, x0=5, y0=-3)
-                    == reference_check_window(s, 20, 20, cap, x0=5, y0=-3)), (s, cap)
+                    == oracle.check_window(*plain(s), 20, 20, cap, x0=5, y0=-3)), \
+                (s, cap)
 
 
 def test_kernels_match_reference_on_the_object_path():
@@ -444,9 +310,10 @@ def test_kernels_match_reference_on_the_object_path():
         assert label_many(s, np.arange(3), np.arange(3)).dtype == object
         for cap in (0, 16, 10**6):
             d = check_diamond(s, cap)
-            assert d == reference_check_diamond(s, cap), (s, cap)
+            assert d == oracle.check_diamond(*plain(s), cap), (s, cap)
             assert (check_window(s, 12, 12, cap, x0=-5, y0=2)
-                    == reference_check_window(s, 12, 12, cap, x0=-5, y0=2)), (s, cap)
+                    == oracle.check_window(*plain(s), 12, 12, cap, x0=-5, y0=2)), \
+                (s, cap)
             failing += not d.passed
     assert failing, "no object-path scheme fails"
 
@@ -454,10 +321,10 @@ def test_kernels_match_reference_on_the_object_path():
 def test_window_matches_reference_when_k_is_past_int64():
     # The required gaps and the sentinel -(k+1) are Python integers too;
     # x + y mod c fails every offset at this k.
-    for s in [scheme_params(10**30 + 1), mutant(2**64, 1, 1, 2**70 + 1)]:
+    for s in [scheme_params(10**30 + 1), hand_built(1, 1, 2**70 + 1, 2**64)]:
         for cap in (0, 10**6):
             got = check_window(s, 5, 7, cap, x0=-3, y0=10**20)
-            assert got == reference_check_window(s, 5, 7, cap, x0=-3, y0=10**20)
+            assert got == oracle.check_window(*plain(s), 5, 7, cap, x0=-3, y0=10**20)
             assert got.passed == (s.a != 1), s
 
 
@@ -468,11 +335,12 @@ def test_window_matches_reference_at_the_narrow_dtype_limits(c):
     # narrowed grid must hold; b = 1 makes vertical neighbours violate.
     for k in (1, 3, 5, 9):
         for a, b in [(c - 1, 1), (c - 1, c // 2), (c // 3, c - 2), (1, c - 1)]:
-            s = mutant(k, a, b, c)
+            s = hand_built(a, b, c, k)
             for x0, y0 in [(0, 0), (c - 3, 1 - c), (-(10**12), 7)]:
                 for cap in (0, 10**6):
                     assert (check_window(s, 11, 9, cap, x0=x0, y0=y0)
-                            == reference_check_window(s, 11, 9, cap, x0=x0, y0=y0)), \
+                            == oracle.check_window(*plain(s), 11, 9, cap,
+                                                   x0=x0, y0=y0)), \
                         (k, a, b, c, x0, y0, cap)
 
 
@@ -481,9 +349,9 @@ def test_window_matches_reference_at_the_narrow_dtype_limits(c):
 WINDOW_SHAPES = [(1, 1), (1, 37), (37, 1), (4, 300), (300, 4), (2, 25), (25, 3)]
 SHAPE_SCHEMES = [
     scheme_params(3), scheme_params(9), scheme_params(30),
-    mutant(5, 1, 1, 3), mutant(9, 2, 9, 40), mutant(7, 18, 151, 248),
-    mutant(5, 2**15 - 2, 1, 2**15 - 1), mutant(3, 1, 2**15 - 1, 2**15),
-    mutant(5, 2**31 - 2, 2**30, 2**31 - 1), mutant(3, 2**31 - 1, 1, 2**31),
+    hand_built(1, 1, 3, 5), hand_built(2, 9, 40, 9), hand_built(18, 151, 248, 7),
+    hand_built(2**15 - 2, 1, 2**15 - 1, 5), hand_built(1, 2**15 - 1, 2**15),
+    hand_built(2**31 - 2, 2**30, 2**31 - 1, 5), hand_built(2**31 - 1, 1, 2**31),
     OBJECT_PATH_SCHEMES[3],
 ]
 
@@ -496,19 +364,19 @@ def test_window_matches_reference_on_every_shape(width, height):
         for x0, y0 in [(0, 0), (-7, 13), (10**12, -3)]:
             for cap in (0, 16, 10**6):
                 assert (check_window(s, width, height, cap, x0=x0, y0=y0)
-                        == reference_check_window(s, width, height, cap,
-                                                  x0=x0, y0=y0)), (s, x0, y0, cap)
+                        == oracle.check_window(*plain(s), width, height, cap,
+                                               x0=x0, y0=y0)), (s, x0, y0, cap)
 
 
 def test_window_reports_the_gaps_it_observed(monkeypatch):
-    # With label evaluation outside label_window refused, every reported
-    # gap comes from the window's own comparisons.
+    # With scalar label evaluation refused, every reported gap comes from
+    # the window's own comparisons of its grid.
     def refuse(*args):
         raise AssertionError("check_window evaluated a label by itself")
 
-    schemes = (SHAPE_SCHEMES + list(perturbed_schemes([1] + list(range(3, 14))))
-               + OBJECT_PATH_SCHEMES)
-    expected = {(s, cap): reference_check_window(s, 20, 17, cap, x0=-7, y0=13)
+    schemes = (SHAPE_SCHEMES + OBJECT_PATH_SCHEMES
+               + [hand_built(*m) for m in oracle.perturbed([1] + list(range(3, 14)))])
+    expected = {(s, cap): oracle.check_window(*plain(s), 20, 17, cap, x0=-7, y0=13)
                 for s in schemes for cap in (0, 16, 10**6)}
     monkeypatch.setattr(verifier, "label", refuse)
     failing = 0
@@ -532,11 +400,11 @@ def test_window_matches_reference_on_random_shapes(k, width, height, coeffs,
                                                    x0, y0, cap):
     # None draws the paper's scheme (k = 2 has none: its mutant stands in).
     if coeffs is None:
-        s = scheme_params(k) if k != 2 else mutant(2, 2, 3, 7)
+        s = scheme_params(k) if k != 2 else hand_built(2, 3, 7, 2)
     else:
-        s = mutant(k, *coeffs)
+        s = hand_built(*coeffs, k)
     assert (check_window(s, width, height, cap, x0=x0, y0=y0)
-            == reference_check_window(s, width, height, cap, x0=x0, y0=y0))
+            == oracle.check_window(*plain(s), width, height, cap, x0=x0, y0=y0))
 
 
 def test_wide_windows_check_as_fast_as_tall_ones():
@@ -576,26 +444,26 @@ def test_window_grid_takes_the_narrowest_type_holding_c(bound, dtype):
     # the sentinel -(k+1), so each boundary on c moves down by k + 1.
     def window_grid(s):
         grid = verifier._label_grid(s, -1, 2, 3, 3, verifier._window_dtype(s))
-        assert grid.tolist() == label_window(s, -1, 2, 3, 3).tolist()
+        assert grid.tolist() == oracle.label_grid(s.a, s.b, s.c, -1, 2, 3, 3)
         return grid
 
     for k in (1, 3, 9):
-        assert window_grid(mutant(k, 1, 1, bound - k - 1)).dtype == dtype, k
-    assert window_grid(mutant(2**63, 1, 1, 7)).dtype == object
+        assert window_grid(hand_built(1, 1, bound - k - 1, k)).dtype == dtype, k
+    assert window_grid(hand_built(1, 1, 7, 2**63)).dtype == object
 
 
 def test_window_wide_and_tall_agree_on_equal_labels():
     # a = b gives equal labels at offset (1, -1) and its negation. A wide
     # window is checked transposed, where that offset comes out as (-1, 1);
     # reports still name the orientation with x > 0.
-    s = mutant(3, 5, 5, 40)
+    s = hand_built(5, 5, 40)
     for width, height in [(20, 3), (3, 20), (9, 9)]:
         verdict = check_window(s, width, height, 10**6, x0=-4, y0=7)
-        assert verdict == reference_check_window(s, width, height, 10**6,
-                                                 x0=-4, y0=7)
+        assert verdict == oracle.check_window(*plain(s), width, height, 10**6,
+                                              x0=-4, y0=7)
         assert ViolationReport((1, -1), 2, 2, 0) in verdict.violations
         assert {rep.offset for rep in verdict.violations} == \
-            naive_window_check(s, width, height, -4, 7)
+            oracle.naive_window_check(*plain(s), width, height, -4, 7)
 
 
 WINDOW_BLOCK_SHAPES = [(1, 37), (37, 1), (4, 50), (50, 4), (20, 17), (17, 20),
@@ -609,11 +477,13 @@ def test_window_blocks_match_reference(monkeypatch, block_cells):
     # farthest offsets (1, -36) and (-36, 1) of 2x37 and 37x2 windows have
     # one pair each.
     schemes = [scheme_params(1), scheme_params(9), scheme_params(24),
-               mutant(5, 1, 1, 3), mutant(7, 2, 9, 40), mutant(9, 7, 7, 300),
+               hand_built(1, 1, 3, 5), hand_built(2, 9, 40, 7),
+               hand_built(7, 7, 300, 9),
                OBJECT_PATH_SCHEMES[1]]
     cases = [(s, shape) for s in schemes for shape in WINDOW_BLOCK_SHAPES]
-    cases += [(mutant(40, 1, 1, 3), shape) for shape in [(2, 37), (37, 2)]]
-    expected = {(s, shape, cap): reference_check_window(s, *shape, cap, x0=-7, y0=3)
+    cases += [(hand_built(1, 1, 3, 40), shape) for shape in [(2, 37), (37, 2)]]
+    expected = {(s, shape, cap): oracle.check_window(*plain(s), *shape, cap,
+                                                     x0=-7, y0=3)
                 for s, shape in cases for cap in (0, 10**6)}
     monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
     failing = 0
@@ -631,31 +501,17 @@ def test_diamond_blocks_match_reference(monkeypatch, block_cells):
     # At k = 9, 57 and 95 put x = 0 first and last in a block of 3 and 5.
     monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
     for s in [scheme_params(1), scheme_params(9), scheme_params(24),
-              mutant(5, 1, 1, 3), mutant(7, 2, 9, 40), OBJECT_PATH_SCHEMES[1]]:
+              hand_built(1, 1, 3, 5), hand_built(2, 9, 40, 7), OBJECT_PATH_SCHEMES[1]]:
         for cap in (0, 5, 10**6):
-            assert check_diamond(s, cap) == reference_check_diamond(s, cap), (s, cap)
+            assert check_diamond(s, cap) == oracle.check_diamond(*plain(s), cap), \
+                (s, cap)
 
 
 def test_diamond_memory_is_bounded_by_the_block():
     s = scheme_params(3001)  # 18 million offsets: 144 MB per int64 array
-    tracemalloc.start()
-    try:
-        verdict = check_diamond(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    verdict, peak = peak_traced_bytes(lambda: check_diamond(s))
     assert verdict.passed and verdict.checked_pairs == 2 * 3001 * 3002
     assert peak < 32 * 2**20, peak
-
-
-def peak_traced_bytes(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def test_window_memory_stays_below_four_mib():
@@ -701,11 +557,6 @@ def marked_rows(monkeypatch):
     return rows
 
 
-def row_starts(scheme, rows):
-    """L(0, y) for y = 0 .. rows - 1, the start of each row's progression."""
-    return [(scheme.b * y) % scheme.c for y in range(rows)]
-
-
 def test_no_hole_enumeration_stops_once_every_label_is_seen(marked_rows):
     rows = marked_rows
     s = scheme_params(21)
@@ -716,12 +567,12 @@ def test_no_hole_enumeration_stops_once_every_label_is_seen(marked_rows):
     # gcd(a, b, c) = 2: only even labels, and row 1 adds none of them, so
     # the enumeration stops after two rows.
     rows.clear()
-    holey = mutant(3, 2, 4, 1000)
+    holey = hand_built(2, 4, 1000)
     assert check_no_hole(holey, "enumerate").attained_count == 500
     assert rows == [(0, 2, 1000), (4, 2, 1000)]
     # c > 2 * 10^5 and gcd(a, c) = 2: two rows of c labels each.
     rows.clear()
-    wide = LabelingScheme(3, 1, "h", 2, 1, 300002)
+    wide = hand_built(2, 1, 300002)
     assert check_no_hole(wide, "enumerate", wide.c**2).attained_count == wide.c
     assert rows == [(0, 2, wide.c), (1, 2, wide.c)]
     assert sum(c for _, _, c in rows) == 2 * wide.c
@@ -734,7 +585,8 @@ def test_no_hole_enumeration_labels_gcd_a_c_rows(marked_rows, k):
     s = scheme_params(k)
     assert check_no_hole(s, "enumerate", s.c**2).attained_count == s.c
     rows = math.gcd(s.a, s.c)
-    assert [start for start, _, _ in marked_rows] == row_starts(s, rows)
+    assert [start for start, _, _ in marked_rows] == \
+        oracle.row_starts(s.a, s.b, s.c, rows)
     assert all(step == s.a % s.c for _, step, _ in marked_rows)
     assert sum(c for _, _, c in marked_rows) == rows * s.c
 
@@ -747,20 +599,13 @@ def test_no_hole_enumeration_of_a_hole_stops_at_the_first_repeated_row(
         marked_rows, a, b, c):
     # Row y attains b*y + gcd(a, c)*Z_c, a coset that first repeats at
     # y = gcd(a, c)/gcd(a, b, c): that row adds no label and is the last.
-    s = mutant(3, a, b, c)
+    s = hand_built(a, b, c)
     report = check_no_hole(s, "enumerate", c * c)
     assert not report.is_no_hole and report.attained_count == c // math.gcd(a, b, c)
     rows = math.gcd(a, c) // math.gcd(a, b, c) + 1
-    assert [start for start, _, _ in marked_rows] == row_starts(s, rows)
+    assert [start for start, _, _ in marked_rows] == \
+        oracle.row_starts(s.a, s.b, s.c, rows)
     assert sum(c for _, _, c in marked_rows) == rows * c
-
-
-def marked_row_oracle(a, b, c, y):
-    """Oracle: the flags of row y's labels, one (a*x + b*y) % c at a time."""
-    flags = bytearray(c)
-    for x in range(c):
-        flags[(a * x + b * y) % c] = 1
-    return flags
 
 
 class CountingFlags(bytearray):
@@ -788,7 +633,7 @@ def test_mark_row_flags_the_row_labels(a, b, c):
     # Zero, negative and a >= c coefficients, so steps of 0, of c - 1 and
     # ones that divide c or not, and starts anywhere in [0, c).
     for y in range(c):
-        assert marked_row(a, b, c, y) == marked_row_oracle(a, b, c, y), y
+        assert marked_row(a, b, c, y) == oracle.row_flags(a, b, c, y), y
 
 
 @pytest.mark.parametrize("a, b, c", [(1234, 977, 300002), (299999, 5, 300001)])
@@ -796,7 +641,7 @@ def test_mark_row_flags_the_row_labels_of_a_wide_period(a, b, c):
     # Runs of unequal length: a step that does not divide c with
     # gcd(a, c) = 2, and a step of c - 2, marked as its mirror step 2.
     for y in (0, 1):
-        assert marked_row(a, b, c, y) == marked_row_oracle(a, b, c, y), y
+        assert marked_row(a, b, c, y) == oracle.row_flags(a, b, c, y), y
 
 
 @settings(max_examples=300, deadline=None)
@@ -804,8 +649,8 @@ def test_mark_row_flags_the_row_labels_of_a_wide_period(a, b, c):
 def test_no_hole_reports_match_a_dense_count(a, b, c):
     # Any linear scheme, holes, zero and negative coefficients included:
     # the attained labels are the multiples of gcd(a, b, c), c / gcd of them.
-    s = mutant(3, a, b, c)
-    dense = dense_label_count(s)
+    s = hand_built(a, b, c)
+    dense = oracle.dense_label_count(s.a, s.b, s.c)
     report = check_no_hole(s, "both")
     assert report.attained_count == dense
     assert report.is_no_hole == (dense == c)
@@ -832,7 +677,7 @@ def test_no_hole_k7_gcd_mode():
 
 
 def test_no_hole_detects_altered_modulus():
-    report = check_no_hole(mutant(3, 5, 15, 15), "enumerate")
+    report = check_no_hole(hand_built(5, 15, 15), "enumerate")
     assert not report.is_no_hole
     assert report.gcd_triple == 5
     assert report.attained_count == 3  # only multiples of 5
@@ -865,10 +710,10 @@ def test_no_hole_rejects_negative_pair_budget(mode):
 
 def test_no_hole_default_budget_is_four_million_evaluations():
     # c^2 = 4 * 10^6 is enumerated; c = 2001 needs 4 004 001 and is refused.
-    report = check_no_hole(mutant(3, 1, 1, 2000), "enumerate")
+    report = check_no_hole(hand_built(1, 1, 2000), "enumerate")
     assert report.is_no_hole and report.attained_count == 2000
     with pytest.raises(BudgetExceeded) as info:
-        check_no_hole(mutant(3, 1, 1, 2001), "enumerate")
+        check_no_hole(hand_built(1, 1, 2001), "enumerate")
     assert (info.value.needed, info.value.budget) == (2001**2, 4_000_000)
 
 
@@ -883,21 +728,18 @@ def test_no_hole_row_blocks_count_like_the_dense_period(monkeypatch, block_cells
     # not dividing c, or above c*c, the no-hole count stays the dense one.
     monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
     # In the last three, single rows miss labels other rows attain.
-    for s in [scheme_params(5), mutant(3, 5, 15, 15), mutant(3, 6, 10, 100),
-              mutant(3, 10, 3, 30), mutant(3, 0, 1, 30), mutant(3, 0, 4, 30)]:
+    for s in [scheme_params(5), hand_built(5, 15, 15), hand_built(6, 10, 100),
+              hand_built(10, 3, 30), hand_built(0, 1, 30), hand_built(0, 4, 30)]:
         report = check_no_hole(s, "enumerate")
-        assert report.attained_count == dense_label_count(s), (block_cells, s)
+        assert report.attained_count == oracle.dense_label_count(s.a, s.b, s.c), \
+            (block_cells, s)
 
 
 def test_no_hole_enumeration_memory_is_bounded_by_the_block():
     s = scheme_params(25)  # c = 3218: a dense period would be 83 MB of int64
     dense_bytes = s.c * s.c * 8
-    tracemalloc.start()
-    try:
-        report = check_no_hole(s, "enumerate", pair_budget=s.c * s.c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = peak_traced_bytes(
+        lambda: check_no_hole(s, "enumerate", pair_budget=s.c * s.c))
     assert report.attained_count == s.c
     assert peak < 16 * 2**20 < dense_bytes / 4, peak
 
