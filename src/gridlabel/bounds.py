@@ -73,6 +73,7 @@ def triangular_convolution(p: int) -> int:
     Equals p(p+1)(p+2)/6; the loop exists so the closed form can be
     cross-checked instead of assumed.
     """
+    p = operator.index(p)
     if p < 1:
         raise ValueError("p must be >= 1")
     return sum(m * (p + 1 - m) for m in range(1, p + 1))
@@ -90,6 +91,7 @@ def lb_summation(p: int, parity: str) -> Fraction:
     construction and is no cross-check. (The same chain at k = 2p+1 gives
     (2/3)p(p+1) more than lambda_lb, a valid but unpublished bound.)
     """
+    p = operator.index(p)
     if p < 1:
         raise ValueError("p must be >= 1")
     if parity not in (EVEN_K, ODD_K):
@@ -121,6 +123,7 @@ def bounds_records(k_min: int, k_max: int) -> Iterator[BoundsRecord]:
     The range is checked at the call, before any record is made. upper
     and ratio are None for k = 2, where no scheme exists.
     """
+    k_min, k_max = operator.index(k_min), operator.index(k_max)
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
     from fractions import Fraction

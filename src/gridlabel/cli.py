@@ -9,7 +9,9 @@ Subcommands:
 
 Each subcommand is one writer, ``write_<command>(out, ...)``, that
 returns the exit code and writes through ``_stream``: a head, then rows
-as they are formatted, then a tail. JSON goes through ``_stream_json``,
+as they are formatted, then a tail. The parser is the one command table:
+each subparser names its writer with ``set_defaults(write=...)``, and
+main calls ``args.write(out, args)``. JSON goes through ``_stream_json``,
 and only label and bounds splice a streamed list into it. Every writer
 raises ValueError for an unknown format before it checks or writes
 anything.
@@ -350,12 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("label", help="render a window of labels")
+    p.set_defaults(write=lambda out, a: write_label(out, scheme_params(a.k), *a.window,
+                                                    a.format))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--window", type=_parse_window, default=(0, 0, 16, 16),
                    help="x0,y0,width,height (default 0,0,16,16)")
     p.add_argument("--format", choices=_LABEL_FORMATS, default="ascii")
 
     p = sub.add_parser("verify", help="validity audit")
+    p.set_defaults(write=lambda out, a: write_verify(
+        out, scheme_params(a.k), a.mode, *a.window[2:], a.format, a.max_violations,
+        x0=a.window[0], y0=a.window[1]))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["diamond", "window", "both"], default="both")
     p.add_argument("--window", type=_parse_window, default=(0, 0, 100, 100),
@@ -365,17 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_MAX_VIOLATIONS)
 
     p = sub.add_parser("bounds", help="bounds table")
+    p.set_defaults(write=lambda out, a: write_bounds(out, a.k_min, a.k_max, a.format))
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--format", **_FORMAT)
 
     p = sub.add_parser("nohole", help="no-hole audit")
+    p.set_defaults(write=lambda out, a: write_nohole(out, scheme_params(a.k), a.mode,
+                                                     a.pair_budget, a.format))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["gcd", "enumerate", "both"], default="both")
     p.add_argument("--pair-budget", type=_non_negative_int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--format", **_FORMAT)
 
     p = sub.add_parser("search", help="exact minimal span on a patch")
+    p.set_defaults(write=lambda out, a: write_search(out, a.rows, a.cols, a.k,
+                                                     a.node_budget, a.format))
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -389,7 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        code = _dispatch(args, out)
+        code = args.write(out, args)
         out.flush()  # so a reader that closed stdout shows here, not at exit
         return code
     except BrokenPipeError:
@@ -404,23 +416,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace, out) -> int:
-    if args.command == "label":
-        return write_label(out, scheme_params(args.k), *args.window, args.format)
-    if args.command == "verify":
-        x0, y0, width, height = args.window
-        return write_verify(out, scheme_params(args.k), args.mode, width,
-                            height, args.format, args.max_violations,
-                            x0=x0, y0=y0)
-    if args.command == "bounds":
-        return write_bounds(out, args.k_min, args.k_max, args.format)
-    if args.command == "nohole":
-        return write_nohole(out, scheme_params(args.k), args.mode,
-                            args.pair_budget, args.format)
-    return write_search(out, args.rows, args.cols, args.k, args.node_budget,
-                        args.format)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,15 @@ and safe to call from any number of threads.
 
 from __future__ import annotations
 
+import operator
+
 Vertex = tuple[int, int]
 
 
 def _columns(m: int) -> list[tuple[int, int]]:
-    """(x, m - |x|) for each column x of the radius-m sets."""
+    """(x, m - |x|) for each column x of the radius-m sets; m is read
+    with operator.index, so every coordinate is a Python int."""
+    m = operator.index(m)
     if m < 0:
         raise ValueError("radius must be non-negative")
     return [(x, m - abs(x)) for x in range(-m, m + 1)]

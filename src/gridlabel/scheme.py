@@ -155,10 +155,11 @@ def label_rows(scheme: LabelingScheme, x0: int, width: int,
     Row y is the progression (L(x0, y) + a*j) mod c, made as it is read,
     with no numpy. An empty window raises ValueError, as in label_window.
     """
+    x0, width = operator.index(x0), operator.index(width)
     if width < 1 or not ys:
         raise ValueError("window must have positive dimensions")
     a, b, c = scheme.a, scheme.b, scheme.c
-    start = a * operator.index(x0)
+    start = a * x0
     steps = [a * j for j in range(width)]
     return ([(first + s) % c for s in steps]
             for y in ys for first in [(start + b * operator.index(y)) % c])
@@ -273,8 +274,8 @@ def label_window(scheme: LabelingScheme, x0: int, y0: int,
     Returned array is indexed [row, col] where row i holds y = y0 + i and
     col j holds x = x0 + j. It is int64 while c fits, which is every
     k <= 3664061, and Python integers (object dtype) past that. Raises
-    ValueError for an empty window and TypeError for a coordinate that
-    is not an integer.
+    ValueError for an empty window and TypeError for a coordinate or
+    size that is not an integer.
     """
     return _label_grid(scheme, x0, y0, width, height,
                        "int64" if scheme.c <= _INT64_MAX else "object")
@@ -288,7 +289,7 @@ def _label_grid(scheme: LabelingScheme, x0: int, y0: int,
     _add_mod of the axis labels X[j] = L(x0+j, 0) and Y[i] = L(0, y0+i),
     and each axis is made the same way from fewer labels (_progression).
     """
-    x0, y0 = operator.index(x0), operator.index(y0)
+    x0, y0, width, height = map(operator.index, (x0, y0, width, height))
     if width < 1 or height < 1:
         raise ValueError("window must have positive dimensions")
     c = scheme.c

@@ -7,9 +7,12 @@ separation requirement against an already-labeled vertex. The search is
 independent of the modular schemes, so it serves as ground truth for
 them on desk-scale instances (at most 64 vertices).
 
-Both entry points take one constraint list from ``_gap_constraints``,
-which first refuses k < 1 and patches over the vertex cap; ``exact_span``
-builds it once for the greedy start, the clique bound and every probe.
+Both entry points read k, lam and the node budget with operator.index,
+as ``Patch`` reads its dimensions, so a numpy integer cannot wrap and a
+float raises TypeError before any work. They take one constraint list
+from ``_gap_constraints``, which first refuses k < 1 and patches over the
+vertex cap; ``exact_span`` builds it once for the greedy start, the
+clique bound and every probe.
 
 Domains are bitmasks held in Python ints. A vertex's free-label mask has
 one bit per label it may still try, capped where a label would be over
@@ -26,6 +29,7 @@ A single search is sequential; independent probes may run concurrently.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 MAX_VERTICES = 64
@@ -48,6 +52,7 @@ class Patch(_PatchFields):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int):
+        rows, cols = operator.index(rows), operator.index(cols)
         if rows < 1 or cols < 1:
             raise InvalidPatch(f"patch needs positive dimensions, got {rows}x{cols}")
         return super().__new__(cls, rows, cols)
@@ -148,6 +153,7 @@ def probe_feasible(patch: Patch, k: int, lam: int,
     one candidate label considered at one vertex, blocked labels skipped
     included, so the count equals that of a label-by-label scan.
     """
+    k, lam, node_budget = map(operator.index, (k, lam, node_budget))
     return _probe(patch, _gap_constraints(patch, k), lam, node_budget)
 
 
@@ -231,6 +237,7 @@ def exact_span(patch: Patch, k: int,
     falls back to the best known feasible count (greedy first-fit) with
     exhausted=False; its certificate is still valid.
     """
+    k, node_budget = operator.index(k), operator.index(node_budget)
     cons = _gap_constraints(patch, k)
     if node_budget < 1:
         raise ValueError("node budget must be positive")

@@ -104,9 +104,12 @@ class NoHoleReport(NamedTuple):
     attained_count: Optional[int]  # None unless enumeration ran
 
 
-def _check_non_negative(name: str, value: int) -> None:
+def _check_non_negative(name: str, value: int) -> int:
+    """value read with operator.index, refused below 0."""
+    value = operator.index(value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def label_difference(scheme: LabelingScheme, u, v) -> int:
@@ -140,7 +143,7 @@ def check_diamond(scheme: LabelingScheme,
     """
     import numpy as np
 
-    _check_non_negative("max_violations", max_violations)
+    max_violations = _check_non_negative("max_violations", max_violations)
     k = scheme.k
     violations: list[ViolationReport] = []
     failed = False
@@ -234,8 +237,9 @@ def check_window(scheme: LabelingScheme, width: int, height: int,
     """
     import numpy as np
 
+    x0, y0, width, height = map(operator.index, (x0, y0, width, height))
     pairs = window_pairs(scheme.k, width, height)
-    _check_non_negative("max_violations", max_violations)
+    max_violations = _check_non_negative("max_violations", max_violations)
     k = scheme.k
     tall = height >= width
     if not tall:
@@ -357,7 +361,7 @@ def check_no_hole(scheme: LabelingScheme, mode: str = "both",
     The flags are a bytearray of c bytes, and each row costs at most
     c/2 + 1 slice assignments plus c bytes of work (_mark_row).
     """
-    _check_non_negative("pair_budget", pair_budget)
+    pair_budget = _check_non_negative("pair_budget", pair_budget)
     g = math.gcd(scheme.a, scheme.b, scheme.c)
     if mode == "gcd":
         return NoHoleReport(is_no_hole=(g == 1), gcd_triple=g, attained_count=None)

@@ -1,5 +1,6 @@
 """Helpers shared by the test files: schemes built from the integers the
-oracle takes, and the peak memory of a call."""
+oracle takes, a stand-in for work that must not start, and the peak
+memory of a call."""
 
 import tracemalloc
 
@@ -14,6 +15,10 @@ def hand_built(a, b, c, k=3):
 def plain(scheme):
     """(a, b, c, k): the integers an oracle takes in place of a scheme."""
     return scheme.a, scheme.b, scheme.c, scheme.k
+
+
+def no_work(*_args, **_kwargs):
+    raise AssertionError("work started that should have been refused first")
 
 
 def peak_traced_bytes(call):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import gridlabel
 import oracle
-from conftest import hand_built, peak_traced_bytes, plain
+from conftest import hand_built, no_work, peak_traced_bytes, plain
 from gridlabel import (BudgetExceeded, VerificationVerdict, label_rows,
                        label_window, scheme_params, window_pairs)
 from gridlabel import cli, verifier
@@ -42,18 +42,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def no_work(*_args, **_kwargs):
-    raise AssertionError("work started that should have been refused first")
-
-
 def passing(scheme, width, height, *_args, **_kwargs):
     """A window check that compares nothing and passes."""
     return VerificationVerdict(True, window_pairs(scheme.k, width, height), ())
 
 
 def written(writer, *args):
+    """What writer writes to out, checking that it returns 0."""
     out = io.StringIO()
-    writer(out, *args)
+    assert writer(out, *args) == 0
     return out.getvalue()
 
 
@@ -73,15 +70,19 @@ LABEL_FORMATS = ("csv", "json", "ascii", "pgm")
 
 # ------------------------------------------------------ byte identity
 
+LABEL_WINDOWS = [(x0, y0, w, h) for x0, y0 in [(0, 0), (-5, -7), (13, 4), (-3, 10**20)]
+                 for w, h in [(1, 1), (1, 9), (9, 1), (37, 23)]] + [
+    (0, 0, 2, 2), (0, 0, 3, 1), (0, 0, 4, 1), (0, 0, 4, 2), (1, 2, 2, 1), (-3, -3, 7, 7)]
+
+
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)
-@pytest.mark.parametrize("k", [1, 3, 4, 7, 9190])  # 9190: exact points, int64 window
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 7, 9190])  # 9190: exact points, int64 window
 def test_write_label_matches_reference(k, fmt):
     s = scheme_params(k)
-    for x0, y0 in [(0, 0), (-5, -7), (13, 4), (-3, 10**20)]:
-        for w, h in [(1, 1), (1, 9), (9, 1), (37, 23)]:
-            assert_same(written(write_label, s, x0, y0, w, h, fmt),
-                        oracle.render_label(*plain(s), s.p, s.parity_case,
-                                            x0, y0, w, h, fmt), (x0, y0, w, h))
+    for window in LABEL_WINDOWS:
+        assert_same(written(write_label, s, *window, fmt),
+                    oracle.render_label(*plain(s), s.p, s.parity_case, *window, fmt),
+                    window)
 
 
 @settings(max_examples=80, deadline=None)
@@ -157,8 +158,8 @@ def test_write_label_rows_match_label_window_fuzz(a, b, c, x0, y0, w, h, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
 def test_write_bounds_matches_reference(fmt):
-    for k_min, k_max in [(1, 2000), (2, 2), (7, 7), (1990, 2000),
-                         (10**12 - 3, 10**12 + 3)]:
+    for k_min, k_max in [(1, 2000), (1, 1), (2, 2), (3, 3), (1, 4), (7, 7),
+                         (1990, 2000), (10**12 - 3, 10**12 + 3)]:
         assert_same(written(write_bounds, k_min, k_max, fmt),
                     oracle.render_bounds(k_min, k_max, fmt),
                     (k_min, k_max))
@@ -248,45 +249,6 @@ def test_label_csv_round_trip(capsys):
 
 # ---------------------------------------------------------------- label
 
-def test_label_csv_values(capsys):
-    _, out, _ = run_cli(capsys, ["label", "--k", "3", "--window", "0,0,4,1",
-                                 "--format", "csv"])
-    assert out.splitlines()[1:] == ["0,0,0", "1,0,5", "2,0,10", "3,0,3"]
-    _, out7, _ = run_cli(capsys, ["label", "--k", "7", "--window", "0,0,3,1",
-                                  "--format", "csv"])
-    assert out7.splitlines()[1:] == ["0,0,0", "1,0,9", "2,0,18"]
-
-
-def test_label_ascii_checkerboard(capsys):
-    code, out, _ = run_cli(capsys, ["label", "--k", "1", "--window", "0,0,2,2"])
-    assert code == 0
-    assert out == "1 0\n0 1\n"
-
-
-def test_label_pgm(capsys):
-    code, out, _ = run_cli(capsys, ["label", "--k", "3", "--window", "0,0,4,2",
-                                    "--format", "pgm"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "4 2"
-    assert lines[2] == "11"
-    assert lines[3].split() == ["3", "8", "1", "6"]   # top row is y=1
-    assert lines[4].split() == ["0", "5", "10", "3"]
-
-
-def test_label_json_schema(capsys):
-    code, out, _ = run_cli(capsys, ["label", "--k", "3", "--window", "1,2,2,1",
-                                    "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["k"] == 3
-    assert payload["scheme"] == {"a": 5, "b": 15, "c": 12, "p": 1,
-                                 "case": "odd-k-odd-p"}
-    assert payload["window"] == {"x0": 1, "y0": 2, "width": 2, "height": 1}
-    assert payload["cells"] == [[1, 2, oracle.label(5, 15, 12, 1, 2)],
-                                [2, 2, oracle.label(5, 15, 12, 2, 2)]]
-
 
 def test_label_window_too_large(capsys):
     code, _, err = run_cli(capsys, ["label", "--k", "3",
@@ -305,47 +267,7 @@ def test_label_bad_window_syntax(capsys):
     assert exc.value.code == 2
 
 
-def test_render_label_deterministic():
-    s = scheme_params(5)
-    a = written(write_label, s, -3, -3, 7, 7, "csv")
-    b = written(write_label, s, -3, -3, 7, 7, "csv")
-    assert a == b
-
-
 # --------------------------------------------------------------- verify
-
-def test_verify_k7_passes(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--k", "7", "--mode", "diamond"])
-    assert code == 0
-    assert "PASS" in out
-
-
-def test_verify_both_modes_agree(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "both",
-                                    "--window", "0,0,60,60", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["passed"] is True
-    assert payload["checks"]["diamond"]["passed"] is True
-    assert payload["checks"]["window"]["passed"] is True
-
-
-@pytest.mark.parametrize("command", ["label", "verify", "nohole"])
-def test_k2_usage_error(capsys, command):
-    code, out, err = run_cli(capsys, [command, "--k", "2"])
-    assert (code, out) == (2, "")
-    assert err == ("error: k=2 is not covered by any coefficient case: even k "
-                   "needs odd p >= 3, and k=2 gives p=1\n")
-
-
-def test_verify_violation_exit_code():
-    out = io.StringIO()
-    code = write_verify(out, MUTANT, "both", 20, 20, "csv")
-    assert code == 1
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "check,offset_x,offset_y,r,required_gap,actual"
-    assert "diamond,1,0,1,3,1" in lines
-    assert "window,1,0,1,3,1" in lines
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -369,23 +291,6 @@ def test_non_integer_arguments_are_usage_errors(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-
-
-def test_verify_shifted_window(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
-                                    "--window", "5,7,3,3"])
-    assert code == 0
-    assert "window 3x3 at 5,7: PASS" in out
-    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
-                                    "--window", "5,7,3,3", "--format", "json"])
-    assert json.loads(out)["window"] == {"x0": 5, "y0": 7, "width": 3, "height": 3}
-    # An origin of 0,0 is left out of the report.
-    code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--mode", "window",
-                                    "--window", "0,0,3,3", "--format", "json"])
-    assert json.loads(out)["window"] == {"width": 3, "height": 3}
-    # (x + y) mod 12 fails k=3 on the 2x1 window at 0,0 but not at 11,0.
-    assert write_verify(io.StringIO(), MUTANT, "window", 2, 1, "csv") == 1
-    assert write_verify(io.StringIO(), MUTANT, "window", 2, 1, "csv", x0=11) == 0
 
 
 def test_verify_window_too_large():
@@ -504,33 +409,6 @@ def test_verify_reports_sixteen_violations_by_default(capsys, monkeypatch):
 
 # --------------------------------------------------------------- bounds
 
-def test_bounds_row_k3(capsys):
-    _, out, _ = run_cli(capsys, ["bounds", "--k-min", "3", "--k-max", "3",
-                                 "--format", "csv"])
-    assert out.splitlines()[1] == "3,26/3,9,12,4/3,1.33333"
-
-
-def test_bounds_row_k1_ratio_one(capsys):
-    _, out, _ = run_cli(capsys, ["bounds", "--k-min", "1", "--k-max", "1",
-                                 "--format", "csv"])
-    assert out.splitlines()[1] == "1,2,2,2,1,1"
-
-
-def test_bounds_row_k2_empty_fields(capsys):
-    _, out, _ = run_cli(capsys, ["bounds", "--k-min", "2", "--k-max", "2",
-                                 "--format", "csv"])
-    assert out.splitlines()[1] == "2,6,6,,,"
-
-
-def test_bounds_ascii_and_json(capsys):
-    code, out, _ = run_cli(capsys, ["bounds", "--k-min", "1", "--k-max", "4"])
-    assert code == 0 and "ratio" in out.splitlines()[0]
-    code, out, _ = run_cli(capsys, ["bounds", "--k-min", "1", "--k-max", "4",
-                                    "--format", "json"])
-    payload = json.loads(out)
-    assert payload["records"][1]["upper"] is None  # k=2
-    assert payload["records"][2]["ratio_exact"] == "4/3"
-
 
 def test_bounds_bad_range(capsys):
     code, _, err = run_cli(capsys, ["bounds", "--k-min", "5", "--k-max", "3"])
@@ -595,27 +473,6 @@ def test_bounds_ascii_streams_records(monkeypatch):
 
 # --------------------------------------------------------------- nohole
 
-def test_nohole_k3(capsys):
-    code, out, _ = run_cli(capsys, ["nohole", "--k", "3", "--mode", "both"])
-    assert code == 0
-    assert "gcd(a,b,c)=1" in out and "12/12" in out
-
-
-def test_nohole_k9_gcd(capsys):
-    code, out, _ = run_cli(capsys, ["nohole", "--k", "9", "--mode", "gcd",
-                                    "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["gcd_triple"] == 1
-    assert payload["attained_count"] is None
-
-
-def test_nohole_budget_exit(capsys):
-    code, _, err = run_cli(capsys, ["nohole", "--k", "15", "--mode", "enumerate",
-                                    "--pair-budget", "100"])
-    assert code == 2
-    assert "budget" in err
-
 
 def test_nohole_flags_no_memory_can_hold_exit_2(capsys):
     # The budget passes c^2, but c = 187501000002000002 flags are more
@@ -636,52 +493,6 @@ def test_nohole_flags_past_sys_maxsize_exit_2(capsys):
 
 
 # --------------------------------------------------------------- search
-
-def test_search_2x2_k2(capsys):
-    code, out, _ = run_cli(capsys, ["search", "--rows", "2", "--cols", "2",
-                                    "--k", "2"])
-    assert code == 0
-    assert "minimal lambda = 5" in out and "exhausted" in out
-
-
-def test_search_3x3_k1_json(capsys):
-    code, out, _ = run_cli(capsys, ["search", "--rows", "3", "--cols", "3",
-                                    "--k", "1", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["minimal_lambda"] == 2
-    assert payload["exhausted"] is True
-    assert len(payload["certificate"]) == 9
-
-
-def test_search_1x1(capsys):
-    code, out, _ = run_cli(capsys, ["search", "--rows", "1", "--cols", "1",
-                                    "--k", "9", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["minimal_lambda"] == 1
-
-
-def test_search_k2_supported_without_scheme(capsys):
-    code, out, _ = run_cli(capsys, ["search", "--rows", "2", "--cols", "2",
-                                    "--k", "2", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["scheme"] is None
-
-
-def test_search_invalid_patch(capsys):
-    code, _, err = run_cli(capsys, ["search", "--rows", "0", "--cols", "2",
-                                    "--k", "2"])
-    assert code == 2 and "dimensions" in err
-
-
-def test_search_csv_certificate(capsys):
-    code, out, _ = run_cli(capsys, ["search", "--rows", "2", "--cols", "2",
-                                    "--k", "2", "--format", "csv"])
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 4
-    labs = {(int(r["x"]), int(r["y"])): int(r["label"]) for r in rows}
-    assert labs[(0, 0)] == 0 and max(labs.values()) == 4
 
 
 def test_search_huge_k_returns_quickly():

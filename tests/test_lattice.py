@@ -74,9 +74,3 @@ def test_outputs_lexicographically_sorted():
             out = fn(m)
             assert out == sorted(out)
             assert len(out) == len(set(out))
-
-
-def test_negative_radius_rejected():
-    for fn in (sphere, ball, t_set):
-        with pytest.raises(ValueError):
-            fn(-1)

@@ -33,7 +33,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 
 SCHEME, VERIFIER = "src/gridlabel/scheme.py", "src/gridlabel/verifier.py"
 BOUNDS, SEARCH = "src/gridlabel/bounds.py", "src/gridlabel/search.py"
-LATTICE = "src/gridlabel/lattice.py"
+LATTICE, CLI = "src/gridlabel/lattice.py", "src/gridlabel/cli.py"
 
 # (file, old, new, note)
 MUTANTS = [
@@ -89,6 +89,25 @@ MUTANTS = [
     (LATTICE, "2 * rest or 1)", "2 * rest or 2)",
      "equivalent: the step matters only where rest = 0, and there the "
      "range holds one point either way"),
+    (CLI, "out.write(sep + text if n else text)", "out.write(sep + text)",
+     "_stream writes the separator before the first row too"),
+    (CLI, "return 0 if passed else 1", "return 0",
+     "verify exits 0 on a violation"),
+    (CLI, "return 141", "return 1", "a closed stdout exits 1, as a violation"),
+    (CLI, '"case": scheme.parity_case}', '"parity_case": scheme.parity_case}',
+     "the JSON envelope renames the scheme's case field"),
+    (CLI, "shifted = (x0, y0) != (0, 0)", "shifted = (x0, y0) > (0, 0)",
+     "verify reports leave out an origin that sorts below 0,0"),
+    (CLI, "{r.upper / r.lower:.6g}", "{r.upper / r.lower:.7g}",
+     "the bounds decimal takes seven significant digits"),
+    (CLI, "down = range(y0 + height - 1, y0 - 1, -1)",
+     "down = range(y0 + height - 1, y0, -1)",
+     "label's ascii and pgm grids drop their bottom row"),
+    (CLI, "cell = len(str(result.minimal_lambda - 1))",
+     "cell = len(str(result.minimal_lambda))",
+     "search's ascii columns sized for one label too many"),
+    (CLI, "if value < 0:", "if value < -1:",
+     "--max-violations and --pair-budget accept -1"),
 ]
 
 
