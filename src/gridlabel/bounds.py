@@ -117,27 +117,42 @@ def ratio(k: int) -> Fraction:
     return Fraction(lambda_ub(k), lambda_lb(k).ceiled)
 
 
+_Row = tuple[int, int, int, Optional[int]]
+
+
+def _bounds_rows(k_min: int, k_max: int) -> Iterator[_Row]:
+    """(k, 3 * lower_exact, lower, upper) per k in [k_min, k_max], in plain
+    integers, each made as it is read; upper is None for k = 2.
+
+    The range is checked at the call, before any row is made.
+    """
+    k_min, k_max = operator.index(k_min), operator.index(k_max)
+    if not 1 <= k_min <= k_max:
+        raise ValueError("need 1 <= k_min <= k_max")
+
+    def row(k: int) -> _Row:
+        num = _lb_numerator(k)
+        try:
+            ub: Optional[int] = lambda_ub(k)
+        except UnsupportedK:
+            ub = None
+        return k, num, -(-num // 3), ub
+
+    return map(row, range(k_min, k_max + 1))
+
+
 def bounds_records(k_min: int, k_max: int) -> Iterator[BoundsRecord]:
     """One record per k in [k_min, k_max], increasing k, each made as it is read.
 
     The range is checked at the call, before any record is made. upper
     and ratio are None for k = 2, where no scheme exists.
     """
-    k_min, k_max = operator.index(k_min), operator.index(k_max)
-    if not 1 <= k_min <= k_max:
-        raise ValueError("need 1 <= k_min <= k_max")
+    rows = _bounds_rows(k_min, k_max)
     from fractions import Fraction
 
-    def record(k: int) -> BoundsRecord:
-        num = _lb_numerator(k)
-        exact, lower = Fraction(num, 3), -(-num // 3)
-        try:
-            ub = lambda_ub(k)
-        except UnsupportedK:
-            return BoundsRecord(k, exact, lower, None, None)
-        return BoundsRecord(k, exact, lower, ub, Fraction(ub, lower))
-
-    return map(record, range(k_min, k_max + 1))
+    return (BoundsRecord(k, Fraction(num, 3), lower, upper,
+                         None if upper is None else Fraction(upper, lower))
+            for k, num, lower, upper in rows)
 
 
 def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:

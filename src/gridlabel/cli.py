@@ -23,7 +23,8 @@ and search never import numpy; verify imports it through the verifier
 when its first check runs. json is imported by ``_stream_json`` on its
 first call, so only ``--format json`` imports it. No command imports
 dataclasses: result records are NamedTuples, and JSON reads them with
-``_asdict()``.
+``_asdict()``. No command imports fractions either: bounds prints its
+ratios from the integer rows of bounds._bounds_rows.
 
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k, or
@@ -46,11 +47,13 @@ README and are fixed.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import os
 import sys
 from typing import Optional
 
-from .bounds import bounds_records
+from .bounds import _bounds_rows
 from .scheme import LabelingScheme, UnsupportedK, label_rows, scheme_params
 from .search import DEFAULT_NODE_BUDGET, Patch, exact_span
 from .verifier import (
@@ -141,23 +144,35 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
                 height: int, fmt: str) -> int:
     """Write the label grid to out one row at a time; returns 0.
 
-    Each row is a %-template filled from scheme.label_rows. Raises
-    BudgetExceeded above the cell budget, before writing anything.
+    Each row is a %-template filled from scheme.label_rows. Rows repeat
+    every c // gcd(b, c) values of y, so a template is filled once per
+    row of that period; csv and json then put each row's y in, and ascii
+    and pgm write the same text again. Only when the period is shorter
+    than the window are its row texts kept. Raises BudgetExceeded above
+    the cell budget, before writing anything.
     """
     _check_format(fmt, _LABEL_FORMATS)
     _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
     xs = range(x0, x0 + width)
     up = range(y0, y0 + height)
     down = range(y0 + height - 1, y0 - 1, -1)  # matrix orientation: top row = max y
+    period = scheme.c // math.gcd(scheme.b, scheme.c)
 
     def rows(ys, template):
+        # One text per row of ys, the template filled once per period.
+        texts = map(template.__mod__,
+                    map(tuple, label_rows(scheme, x0, width, ys[:period])))
+        if period < height:  # cycle keeps the period's texts to repeat them
+            return itertools.islice(itertools.cycle(texts), height)
+        return texts
+
+    def rows_with_y(ys, template):
         # template has x baked in, _Y for y and %d for each label.
-        return (template.replace(_Y, str(y)) % tuple(labels)
-                for y, labels in zip(ys, label_rows(scheme, x0, width, ys)))
+        return map(str.replace, rows(ys, template), itertools.repeat(_Y), map(str, ys))
 
     if fmt == "csv":
         template = "".join(f"{x},{_Y},%d\n" for x in xs)
-        _stream(out, "x,y,label\n", rows(up, template))
+        _stream(out, "x,y,label\n", rows_with_y(up, template))
     elif fmt == "ascii":
         template = " ".join([f"%{len(str(scheme.c - 1))}d"] * width) + "\n"
         _stream(out, "", rows(down, template))
@@ -169,7 +184,7 @@ def write_label(out, scheme: LabelingScheme, x0: int, y0: int, width: int,
                               for x in xs)
         _stream_json(out, _envelope(scheme.k, scheme, window={
             "x0": x0, "y0": y0, "width": width, "height": height}, cells=[]),
-            rows(up, template))
+            rows_with_y(up, template))
     return 0
 
 
@@ -238,6 +253,12 @@ def _verify_lines(checks: dict[str, VerificationVerdict], where: str):
                    f"required={rep.required_gap} actual={rep.actual}\n")
 
 
+def _fraction_text(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0: the text of str(Fraction(n, d))."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 _BOUNDS_JSON_ROW = """    {
       "k": %s,
       "lower_exact": "%s",
@@ -264,11 +285,11 @@ def write_bounds(out, k_min: int, k_max: int, fmt: str) -> int:
         # k, lower_exact, lower, upper, ratio_exact, ratio_decimal; None where
         # there is no value (k = 2 has no scheme). upper / lower is the
         # ratio's double: int division rounds correctly.
-        return ((str(r.k), str(r.lower_exact), str(r.lower),
-                 None if r.upper is None else str(r.upper),
-                 None if r.ratio is None else str(r.ratio),
-                 None if r.ratio is None else f"{r.upper / r.lower:.6g}")
-                for r in bounds_records(k_min, k_max))
+        return ((str(k), _fraction_text(num, 3), str(lower),
+                 None if upper is None else str(upper),
+                 None if upper is None else _fraction_text(upper, lower),
+                 None if upper is None else f"{upper / lower:.6g}")
+                for k, num, lower, upper in _bounds_rows(k_min, k_max))
 
     rows = fields()  # checks the range before anything is written
     if fmt == "csv":

@@ -153,16 +153,22 @@ def label_rows(scheme: LabelingScheme, x0: int, width: int,
     """Exact labels of x0, ..., x0+width-1 for each y of ys, one list per row.
 
     Row y is the progression (L(x0, y) + a*j) mod c, made as it is read,
-    with no numpy. An empty window raises ValueError, as in label_window.
+    with no numpy. It repeats every c // gcd(a, c) columns, so only that
+    period is computed and the rest of the row is copies of it. An empty
+    window raises ValueError, as in label_window.
     """
     x0, width = operator.index(x0), operator.index(width)
     if width < 1 or not ys:
         raise ValueError("window must have positive dimensions")
     a, b, c = scheme.a, scheme.b, scheme.c
     start = a * x0
-    steps = [a * j for j in range(width)]
-    return ([(first + s) % c for s in steps]
+    steps = [a * j for j in range(min(width, c // math.gcd(a, c)))]
+    rows = ([(first + s) % c for s in steps]
             for y in ys for first in [(start + b * operator.index(y)) % c])
+    if len(steps) == width:
+        return rows
+    copies, rest = divmod(width, len(steps))
+    return (period * copies + period[:rest] for period in rows)
 
 
 def lambda_ub(k: int) -> int:

@@ -4,10 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,12 @@ MUTANT = hand_built(1, 1, 12)
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """Exit code, stdout and stderr of main(argv); argparse's usage errors
+    exit through SystemExit, whose code is the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -156,6 +163,52 @@ def test_write_label_rows_match_label_window_fuzz(a, b, c, x0, y0, w, h, fmt):
                                     fmt))
 
 
+# Each repeats within the windows below: k = 3 every 12 columns and 4
+# rows, the hand-built ones along one axis only (a or b = 0 mod c), with
+# periods that do not divide each other (4 and 3), or every cell (c = 1).
+PERIODIC = [scheme_params(3), hand_built(12, 5, 12), hand_built(5, -24, 12),
+            hand_built(9, 8, 12), hand_built(2**70 * 7, 2**66 + 3, 7),
+            hand_built(5, 7, 1)]
+PERIODIC_WINDOWS = [(x0, y0, w, h) for x0, y0 in [(0, 0), (-7, 5), (10**20, -10**20 + 1)]
+                    for w, h in [(30, 30), (13, 1), (1, 13), (25, 7)]]
+
+
+@pytest.mark.parametrize("scheme", PERIODIC, ids=lambda s: f"{s.a},{s.b},{s.c}")
+def test_rows_and_columns_repeat_as_the_reference_does(scheme):
+    for x0, y0, w, h in PERIODIC_WINDOWS:
+        grid = oracle.label_grid(*plain(scheme)[:3], x0, y0, w, h)
+        up = range(y0, y0 + h)
+        assert list(label_rows(scheme, x0, w, up)) == grid, (x0, y0, w, h)
+        assert list(label_rows(scheme, x0, w, up[::-1])) == grid[::-1]
+        for fmt in LABEL_FORMATS:
+            assert_same(written(write_label, scheme, x0, y0, w, h, fmt),
+                        oracle.render_label(*plain(scheme), scheme.p,
+                                            scheme.parity_case, x0, y0, w, h, fmt),
+                        (x0, y0, w, h, fmt))
+
+
+@pytest.mark.parametrize("k, kept", [(7, 92), (3001, 0)])
+def test_label_holds_at_most_one_period_of_rows(k, kept):
+    # A 50x4000 csv window, about 2 MB (k = 7) and 4 MB (k = 3001) of text.
+    # With gcd(b, c) = 1 rows repeat every c: k = 7's 92 rows of a period
+    # are kept, and k = 3001's rows never repeat in the window. A few rows'
+    # worth is the template and the row being written.
+    s = scheme_params(k)
+    assert math.gcd(s.b, s.c) == 1 and (s.c == kept if kept else s.c > 4000)
+    sink = CountingSink()
+    code, peak = peak_traced_bytes(lambda: write_label(sink, s, 0, 0, 50, 4000, "csv"))
+    row = sink.chars / 4000
+    assert code == 0
+    assert peak < (kept + 32) * row, (peak, row)
+
+
+def test_fraction_text_is_the_fraction_str():
+    for n in range(-40, 41):
+        for d in range(1, 41):
+            assert cli._fraction_text(n, d) == str(Fraction(n, d)), (n, d)
+    assert cli._fraction_text(3 * 10**30 + 6, 3) == str(10**30 + 2)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
 def test_write_bounds_matches_reference(fmt):
     for k_min, k_max in [(1, 2000), (1, 1), (2, 2), (3, 3), (1, 4), (7, 7),
@@ -219,8 +272,10 @@ def test_golden_label_csv(capsys):
 
 @pytest.mark.parametrize("case", REPORTS["commands"],
                          ids=lambda case: " ".join(case["argv"]))
-def test_report_bytes(capsys, case):
-    # verify, nohole and search byte for byte, errors included.
+def test_report_bytes(capsys, monkeypatch, case):
+    # verify, nohole and search byte for byte, errors included; argparse
+    # wraps its usage errors to COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, case["argv"]) == (case["rc"], case["stdout"],
                                              case["stderr"])
 
@@ -261,36 +316,7 @@ def test_label_window_too_large(capsys):
     assert out.chunks == []
 
 
-def test_label_bad_window_syntax(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["label", "--k", "3", "--window", "1,2,3"])
-    assert exc.value.code == 2
-
-
 # --------------------------------------------------------------- verify
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["verify", "--k", "3", "--max-violations", "-1"], "--max-violations"),
-    (["nohole", "--k", "3", "--pair-budget", "-5"], "--pair-budget"),
-])
-def test_negative_count_arguments_are_usage_errors(capsys, argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert flag in err and ">= 0" in err
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["verify", "--k", "3", "--window", "0,0,a,4"], "window values must be integers"),
-    (["nohole", "--k", "3", "--pair-budget", "x"], "invalid integer: 'x'"),
-])
-def test_non_integer_arguments_are_usage_errors(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
 
 
 def test_verify_window_too_large():
@@ -518,13 +544,13 @@ def test_search_huge_k_returns_quickly():
 # --------------------------------------------------------- without numpy
 
 # Runs main on each argv in the JSON list argv[2] and prints every exit
-# code, stdout and stderr as JSON. With argv[1] == "block", neither numpy
-# nor dataclasses can be imported: sys.modules maps each to None, so an
-# import raises.
+# code, stdout and stderr as JSON. With argv[1] == "block", none of numpy,
+# dataclasses and fractions can be imported: sys.modules maps each to
+# None, so an import raises.
 RUN_MAIN = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
-    sys.modules["numpy"] = sys.modules["dataclasses"] = None
+    sys.modules["numpy"] = sys.modules["dataclasses"] = sys.modules["fractions"] = None
 else:
     import numpy
 from gridlabel.cli import main
@@ -667,7 +693,7 @@ def test_write_verify_rejects_an_unknown_mode_first(monkeypatch):
 
 def assert_rejected_before_work(monkeypatch, message, writer, *args):
     for name in ("check_diamond", "check_window", "check_no_hole",
-                 "exact_span", "label_rows", "bounds_records"):
+                 "exact_span", "label_rows", "_bounds_rows"):
         monkeypatch.setattr(cli, name, no_work)
     out = Chunks()
     with pytest.raises(ValueError, match=message):

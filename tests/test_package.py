@@ -174,12 +174,13 @@ ROWS = [
          ((3, -1), "patch needs positive dimensions, got 3x-1"))),
     # Proven, stopped by the budget, and a k whose gap bands pass 64 bits.
     *(Row("exact_span", lambda k, budget, p=patch: gridlabel.exact_span(p, k, budget),
-          (k, budget), (((0, budget), K), ((k, 0), "node budget must be positive")))
+          (k, budget), (((0, budget), K), ((-3, budget), K),
+                        ((k, 0), "node budget must be positive")))
       for patch, k, budget in [(gridlabel.Patch(2, 2), 3, 10**7),
                                (gridlabel.Patch(3, 3), 4, 12345),
                                (gridlabel.Patch(2, 2), 100, 1000)]),
     Row("probe_feasible", lambda *args: gridlabel.probe_feasible(gridlabel.Patch(2, 2), *args),
-        (100, 300, 1000), (((0, 300, 1000), K),)),
+        (100, 300, 1000), (((0, 300, 1000), K), ((-3, 300, 1000), K))),
 ]
 
 # The labelling and search kernels: a float argument is refused before any runs.

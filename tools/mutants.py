@@ -46,6 +46,8 @@ MUTANTS = [
      "_add_mod wraps a zero sum to c: the grid's and the axes' wrap"),
     (SCHEME, "coef * m % c", "coef * (m - 1) % c",
      "_progression steps its heads by m - 1 cells"),
+    (SCHEME, "c // math.gcd(a, c)))]", "c // math.gcd(b, c)))]",
+     "label_rows repeats its columns with the row period"),
     (SCHEME, "        if v.dtype == object:", "        if False:",
      "label_many reads an object operand only where broadcasting reaches"),
     (VERIFIER, "required[-x_lo, h] = 0", "required[-x_lo, h] = 1",
@@ -98,11 +100,16 @@ MUTANTS = [
      "the JSON envelope renames the scheme's case field"),
     (CLI, "shifted = (x0, y0) != (0, 0)", "shifted = (x0, y0) > (0, 0)",
      "verify reports leave out an origin that sorts below 0,0"),
-    (CLI, "{r.upper / r.lower:.6g}", "{r.upper / r.lower:.7g}",
+    (CLI, "{upper / lower:.6g}", "{upper / lower:.7g}",
      "the bounds decimal takes seven significant digits"),
     (CLI, "down = range(y0 + height - 1, y0 - 1, -1)",
      "down = range(y0 + height - 1, y0, -1)",
      "label's ascii and pgm grids drop their bottom row"),
+    (CLI, "period = scheme.c // math.gcd(scheme.b, scheme.c)",
+     "period = scheme.c // math.gcd(scheme.a, scheme.c)",
+     "label fills its rows once per column period, not row period"),
+    (CLI, "g = math.gcd(n, d)", "g = 1",
+     "bounds fractions are printed unreduced"),
     (CLI, "cell = len(str(result.minimal_lambda - 1))",
      "cell = len(str(result.minimal_lambda))",
      "search's ascii columns sized for one label too many"),
