@@ -141,20 +141,15 @@ def _bounds_rows(k_min: int, k_max: int) -> Iterator[_Row]:
     return map(row, range(k_min, k_max + 1))
 
 
-def bounds_records(k_min: int, k_max: int) -> Iterator[BoundsRecord]:
-    """One record per k in [k_min, k_max], increasing k, each made as it is read.
+def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:
+    """One record per k in [k_min, k_max], increasing k.
 
-    The range is checked at the call, before any record is made. upper
-    and ratio are None for k = 2, where no scheme exists.
+    The range is checked before any record is made. upper and ratio are
+    None for k = 2, where no scheme exists.
     """
     rows = _bounds_rows(k_min, k_max)
     from fractions import Fraction
 
-    return (BoundsRecord(k, Fraction(num, 3), lower, upper,
+    return [BoundsRecord(k, Fraction(num, 3), lower, upper,
                          None if upper is None else Fraction(upper, lower))
-            for k, num, lower, upper in rows)
-
-
-def bounds_table(k_min: int, k_max: int) -> list[BoundsRecord]:
-    """``bounds_records(k_min, k_max)`` as a list."""
-    return list(bounds_records(k_min, k_max))
+            for k, num, lower, upper in rows]

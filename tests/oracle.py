@@ -154,26 +154,25 @@ def check_window(a, b, c, k, width, height, cap=MAX_VIOLATIONS, x0=0, y0=0):
     return Verdict(not violations, pairs, violations[:cap])
 
 
+@functools.cache
 def naive_window_check(a, b, c, k, width, height, x0=0, y0=0):
-    """Witness offsets of the window by a literal loop over its pairs.
+    """Witness offsets of the window, sorted, by a literal loop over its pairs.
 
     Each violating pair is keyed by its difference vector taken
     larger-label-first; equal labels take the representative with x > 0,
     or x = 0 and y > 0.
     """
-    points = [(x0 + x, y0 + y) for x, y in cells(height, width)]
+    points = [((x0 + x, y0 + y), label(a, b, c, x0 + x, y0 + y))
+              for x, y in cells(height, width)]
     witnesses = set()
-    for i, u in enumerate(points):
-        for v in points[:i]:
+    for i, (u, lu) in enumerate(points):
+        for v, lv in points[:i]:
             d = abs(u[0] - v[0]) + abs(u[1] - v[1])
-            if d > k:
-                continue
-            lu, lv = label(a, b, c, *u), label(a, b, c, *v)
-            if abs(lu - lv) >= k + 1 - d:
+            if d > k or abs(lu - lv) >= k + 1 - d:
                 continue
             hi, lo = (u, v) if lu > lv or (lu == lv and u > v) else (v, u)
             witnesses.add((hi[0] - lo[0], hi[1] - lo[1]))
-    return witnesses
+    return tuple(sorted(witnesses))
 
 
 def brute_pair_count(k, width, height):
@@ -193,6 +192,7 @@ def offset_pair_count(k, width, height):
 
 # -------------------------------------------------------------- no-hole
 
+@functools.cache
 def dense_label_count(a, b, c):
     """Distinct labels of the c-by-c period."""
     return len({label(a, b, c, x, y) for x in range(c) for y in range(c)})
@@ -228,6 +228,7 @@ def scan_box(predicate, reach):
                   for y in range(-reach, reach + 2) if predicate(x, y))
 
 
+@functools.cache
 def packing_chain_bound(k):
     """Labels the radius-p ball needs, p = k // 2, by the packing chain.
 

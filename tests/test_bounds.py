@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from conftest import Column, Row, check_row
 from gridlabel import (
     EVEN_K,
     ODD_K,
@@ -30,12 +31,55 @@ def test_lambda_lb_known_values():
     assert lambda_lb(7).exact == 74
 
 
+# The lower bound's agreement table: its columns are the routes to the
+# closed form, lambda_lb and lb_summation per parity, each compared with
+# oracle.lambda_lb's product form; its rows are the tests below.
+
+def lambda_lb_agrees(k):
+    got = lambda_lb(k)
+    assert got.exact == oracle.lambda_lb(k) and got.ceiled == math.ceil(got.exact), k
+
+
+def lb_summation_agrees(parity):
+    def agrees(k):
+        assert lb_summation(k // 2, parity) == oracle.lambda_lb(k), k
+    return agrees
+
+
+#: lb_summation sums p terms, so the table takes it to p = 200.
+SUMMATION_P = 200
+
+LOWER_BOUND_COLUMNS = {
+    "lambda_lb": Column(lambda k: True, lambda_lb_agrees),
+    "lb_summation-even": Column(lambda k: k % 2 == 0 and k // 2 <= SUMMATION_P,
+                                lb_summation_agrees(EVEN_K)),
+    # Not independent: the odd sum adds the paper's difference between its
+    # two closed forms, so this column checks lb_summation's arithmetic.
+    # The packing chain below is the independent check.
+    "lb_summation-odd": Column(lambda k: k % 2 == 1 and 1 <= k // 2 <= SUMMATION_P,
+                               lb_summation_agrees(ODD_K)),
+}
+UP_TO_10_4 = Row(lambda: range(1, 10**4 + 1), set(LOWER_BOUND_COLUMNS))
+
+
 def test_lambda_lb_matches_product_form():
-    ks = list(range(1, 10**4 + 1)) + [10**12 + d for d in range(-3, 4)]
-    for k in ks:
-        want = oracle.lambda_lb(k)
-        lb = lambda_lb(k)
-        assert lb.exact == want and lb.ceiled == math.ceil(want), k
+    check_row(LOWER_BOUND_COLUMNS, UP_TO_10_4, only={"lambda_lb"})
+    check_row(LOWER_BOUND_COLUMNS, Row(lambda: [10**12 + d for d in range(-3, 4)],
+                                       {"lambda_lb"}))
+
+
+def test_lb_summation_matches_closed_form_up_to_200():
+    check_row(LOWER_BOUND_COLUMNS, UP_TO_10_4,
+              only={"lb_summation-even", "lb_summation-odd"})
+
+
+def test_lambda_lb_against_the_packing_chain():
+    # Even k: the closed form is the chain. Odd k: it lies exactly
+    # (2/3) p (p+1) below the chain, so it is a valid but weaker bound.
+    for k in range(2, 201):
+        p = k // 2
+        slack = 0 if k % 2 == 0 else Fraction(2, 3) * p * (p + 1)
+        assert oracle.packing_chain_bound(k) - lambda_lb(k).exact == slack, k
 
 
 def test_triangular_convolution_values():
@@ -56,24 +100,6 @@ def test_lb_summation_examples():
     assert lb_summation(1, ODD_K) == Fraction(26, 3)
     with pytest.raises(ValueError, match="parity must be"):
         lb_summation(3, "sideways")
-
-
-def test_lb_summation_matches_closed_form_up_to_200():
-    # The odd line pins lb_summation's arithmetic only: its odd term is the
-    # closed form's own difference. The packing chain below is the
-    # independent check.
-    for p in range(1, 201):
-        assert lb_summation(p, EVEN_K) == lambda_lb(2 * p).exact
-        assert lb_summation(p, ODD_K) == lambda_lb(2 * p + 1).exact
-
-
-def test_lambda_lb_against_the_packing_chain():
-    # Even k: the closed form is the chain. Odd k: it lies exactly
-    # (2/3) p (p+1) below the chain, so it is a valid but weaker bound.
-    for k in range(2, 201):
-        p = k // 2
-        slack = 0 if k % 2 == 0 else Fraction(2, 3) * p * (p + 1)
-        assert oracle.packing_chain_bound(k) - lambda_lb(k).exact == slack, k
 
 
 def test_radius_one_ball_needs_ten_labels_at_k3():

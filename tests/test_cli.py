@@ -22,7 +22,7 @@ from conftest import hand_built, no_work, peak_traced_bytes, plain
 from gridlabel import (BudgetExceeded, VerificationVerdict, label_rows,
                        label_window, scheme_params, window_pairs)
 from gridlabel import cli, verifier
-from gridlabel.bounds import bounds_records
+from gridlabel.bounds import _bounds_rows
 from gridlabel.verifier import (MAX_OBJECT_WINDOW_PAIRS, MAX_WINDOW_PAIRS,
                                 window_pair_budget)
 from gridlabel.cli import (
@@ -221,9 +221,9 @@ def test_write_bounds_matches_reference(fmt):
 def test_bounds_decimal_is_the_ratio_double():
     # int / int rounds correctly, so the unreduced quotient the writer
     # formats is the double of the reduced Fraction.
-    for r in bounds_records(1, 10**5):
-        if r.ratio is not None:
-            assert r.upper / r.lower == float(r.ratio), r.k
+    for k, _, lower, upper in _bounds_rows(1, 10**5):
+        if upper is not None:
+            assert upper / lower == float(Fraction(upper, lower)), k
 
 
 @pytest.mark.parametrize("fmt", LABEL_FORMATS)

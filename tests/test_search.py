@@ -184,13 +184,6 @@ def test_clique_lower_bound_values():
     assert clique(Patch(4, 4), 4) == 11  # radius-2 ball clipped
 
 
-def test_invalid_patches():
-    with pytest.raises(InvalidPatch):
-        exact_span(Patch(9, 9), 3)  # 81 vertices > 64 limit
-    with pytest.raises(ValueError):
-        exact_span(Patch(2, 2), 2, node_budget=0)
-
-
 def test_replace_checks_a_patch_like_the_constructor():
     # namedtuple's _make, which _replace calls, would skip __new__.
     with pytest.raises(InvalidPatch, match="got 0x3$"):

@@ -1,7 +1,10 @@
-"""Validity and no-hole audits, cross-checked against naive oracles."""
+"""Validity and no-hole audits: examples, pair counts, memory, speed, the
+no-hole enumeration's rows, and the agreement tables of both claims."""
 
+import functools
 import math
 import time
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import hand_built, peak_traced_bytes, plain
+from conftest import Column, Row, check_row, hand_built, peak_traced_bytes, plain
 from gridlabel import verifier
 from gridlabel import (
     GCD_AB_ALLOWED,
     BudgetExceeded,
+    LabelingScheme,
     ViolationReport,
     check_diamond,
     check_no_hole,
@@ -25,6 +29,8 @@ from gridlabel import (
     scheme_params,
     window_pairs,
 )
+from gridlabel.cli import MAX_DIAMOND_OFFSETS, write_verify
+from gridlabel.verifier import DEFAULT_PAIR_BUDGET, window_pair_budget
 
 
 # ------------------------------------------------------- label_difference
@@ -124,22 +130,6 @@ def test_window_flags_hand_built_scheme():
                                               key=lambda r: r.offset)
 
 
-def test_window_matches_naive_oracle_on_mutants():
-    cases = [
-        hand_built(1, 1, 12),
-        hand_built(5, 15, 15),
-        hand_built(5, 19, 26, 4),
-        hand_built(7, 27, 37, 5),
-        hand_built(2, 3, 4, 1),
-    ]
-    for s in cases:
-        for x0, y0 in [(0, 0), (11, 0), (5, 7), (-3, 4)]:
-            verdict = check_window(s, 12, 12, max_violations=10**6, x0=x0, y0=y0)
-            witnesses = oracle.naive_window_check(*plain(s), 12, 12, x0, y0)
-            assert verdict.passed == (not witnesses)
-            assert {rep.offset for rep in verdict.violations} == witnesses
-
-
 def test_window_checks_the_window_at_its_origin():
     # L = (x + y) mod 12 gives (0,0),(1,0) labels 0,1 (gap 1 < 3) but
     # (11,0),(12,0) labels 11,0 (gap 11).
@@ -147,21 +137,6 @@ def test_window_checks_the_window_at_its_origin():
     assert not check_window(s, 2, 1).passed
     assert check_window(s, 2, 1, x0=11).passed
     assert check_window(s, 2, 1, x0=11, y0=12).passed
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.integers(1, 40), st.integers(1, 40), st.integers(2, 40),
-    st.integers(-50, 50), st.integers(-50, 50),
-)
-def test_window_agrees_with_naive_oracle_fuzz(k, a, b, c, x0, y0):
-    s = hand_built(a, b, c, k)
-    w = h = k + 3
-    verdict = check_window(s, w, h, max_violations=10**6, x0=x0, y0=y0)
-    witnesses = oracle.naive_window_check(*plain(s), w, h, x0, y0)
-    assert verdict.passed == (not witnesses)
-    assert {rep.offset for rep in verdict.violations} == witnesses
 
 
 @pytest.mark.parametrize("k, width, height", [
@@ -205,11 +180,56 @@ def test_injectivity_within_reuse_distance():
             assert label(s, off) != 0, (k, off)
 
 
-# ------------------------------------------- kernels against references
+# ------------------------------------------ validity: the agreement table
+#
+# Columns are the routes to validity, check_diamond and check_window. Each
+# test from here to the speed tests is one row: a named corpus of cases,
+# each route in whose domain a case lies runs it and is compared with the
+# references in oracle.py.
 
-SUPPORTED_UP_TO_80 = [1] + list(range(3, 81))
+class Case(NamedTuple):
+    scheme: LabelingScheme
+    cap: int = oracle.MAX_VIOLATIONS
+    window: Optional[tuple] = None  # width, height, x0, y0
+
+
+#: The largest window oracle.naive_window_check's literal pair loop also
+#: checks: 12x12, 10 296 pairs.
+NAIVE_CELLS = 144
+
+
+def window_reference(case):
+    return oracle.check_window(*plain(case.scheme), *case.window[:2], case.cap,
+                               *case.window[2:])
+
+
+def diamond_agrees(case):
+    s = case.scheme
+    assert check_diamond(s, case.cap) == oracle.check_diamond(*plain(s), case.cap), case
+
+
+def window_agrees(case):
+    width, height, x0, y0 = case.window
+    got = check_window(case.scheme, width, height, case.cap, x0=x0, y0=y0)
+    assert got == window_reference(case), case
+    if width * height <= NAIVE_CELLS:
+        witnesses = oracle.naive_window_check(*plain(case.scheme), *case.window)
+        assert got.passed == (not witnesses), case
+        assert tuple(rep.offset for rep in got.violations) == witnesses[:case.cap], case
+
+
+VALIDITY_COLUMNS = {
+    # The CLI's budgets: 2k(k+1) diamond offsets, k <= 9189, and the pairs
+    # window_pair_budget allows a window check.
+    "diamond": Column(lambda case: 2 * case.scheme.k * (case.scheme.k + 1)
+                      <= MAX_DIAMOND_OFFSETS, diamond_agrees, lambda case: case[:2]),
+    "window": Column(lambda case: case.window is not None
+                     and window_pairs(case.scheme.k, *case.window[:2])
+                     <= window_pair_budget(case.scheme), window_agrees),
+}
+BOTH = set(VALIDITY_COLUMNS)
+
 CAPS = [0, 1, 4, 16, 10**6]
-
 
 # Triples past 2^64: no int64 path applies, labels are Python integers.
 # The first two put small labels next to the origin, so most offsets
@@ -222,77 +242,86 @@ OBJECT_PATH_SCHEMES = [
                     (3**45, 5**30, 2**67 + 1)]
 ]
 
+PAPER = Row(lambda: [Case(scheme_params(k), window=(16, 12, -7, 13))
+                     for k in [1, *range(3, 81), 501]], BOTH)
+
 
 def test_diamond_matches_reference_on_real_schemes():
-    for k in SUPPORTED_UP_TO_80 + [501]:
-        s = scheme_params(k)
-        assert check_diamond(s) == oracle.check_diamond(*plain(s)), k
+    check_row(VALIDITY_COLUMNS, PAPER, only={"diamond"})
 
 
 def test_window_matches_reference_on_real_schemes():
-    for k in SUPPORTED_UP_TO_80 + [501]:
-        s = scheme_params(k)
-        assert (check_window(s, 16, 12, x0=-7, y0=13)
-                == oracle.check_window(*plain(s), 16, 12, x0=-7, y0=13)), k
+    check_row(VALIDITY_COLUMNS, PAPER, only={"window"})
+
+
+def past_the_cap():
+    # The +-1 mutants, and schemes that violate at most offsets, far past
+    # every finite cap.
+    schemes = [hand_built(*m) for m in oracle.perturbed([1, *range(3, 13)])]
+    schemes += [hand_built(a, b, c, k) for k in (3, 5, 9, 14)
+                for a, b, c in [(1, 1, 3), (1, 2, 50), (0, 0, 7), (2, 3, 7)]]
+    counts = [len(oracle.check_diamond(*plain(s), 10**6).violations) for s in schemes]
+    assert len(schemes) >= 20 and sum(n > 16 for n in counts) >= 5, counts
+    return [Case(s, cap, (20, 20, 5, -3)) for s in schemes for cap in CAPS]
 
 
 def test_kernels_match_reference_past_the_violation_cap():
-    schemes = [hand_built(*m) for m in oracle.perturbed([1] + list(range(3, 13)))]
-    # Schemes that violate at most offsets, far past every finite cap.
-    schemes += [hand_built(a, b, c, k) for k in (3, 5, 9, 14)
-                for a, b, c in [(1, 1, 3), (1, 2, 50), (0, 0, 7), (2, 3, 7)]]
-    assert len(schemes) >= 20
-    counts = [len(oracle.check_diamond(*plain(s), 10**6).violations) for s in schemes]
-    assert sum(n > 16 for n in counts) >= 5, counts
-    for s in schemes:
-        for cap in CAPS:
-            assert check_diamond(s, cap) == oracle.check_diamond(*plain(s), cap), \
-                (s, cap)
-        # The window caps its sorted reports in one slice, as before.
-        for cap in (0, 10**6):
-            assert (check_window(s, 20, 20, cap, x0=5, y0=-3)
-                    == oracle.check_window(*plain(s), 20, 20, cap, x0=5, y0=-3)), \
-                (s, cap)
+    check_row(VALIDITY_COLUMNS, Row(past_the_cap, BOTH))
+
+
+def naive_mutants():
+    # Violating triples at four origins of a window small enough for the
+    # literal pair loop.
+    schemes = [hand_built(1, 1, 12), hand_built(5, 15, 15), hand_built(5, 19, 26, 4),
+               hand_built(7, 27, 37, 5), hand_built(2, 3, 4, 1)]
+    return [Case(s, cap, (12, 12, x0, y0)) for s in schemes
+            for x0, y0 in [(0, 0), (11, 0), (5, 7), (-3, 4)] for cap in CAPS]
+
+
+def test_window_matches_naive_oracle_on_mutants():
+    check_row(VALIDITY_COLUMNS, Row(naive_mutants, BOTH))
+
+
+def object_path():
+    for s in OBJECT_PATH_SCHEMES:
+        assert label_many(s, np.arange(3), np.arange(3)).dtype == object
+    assert not all(oracle.check_diamond(*plain(s)).passed for s in OBJECT_PATH_SCHEMES)
+    return [Case(s, cap, (12, 12, -5, 2)) for s in OBJECT_PATH_SCHEMES
+            for cap in (0, 16, 10**6)]
 
 
 def test_kernels_match_reference_on_the_object_path():
-    failing = 0
-    for s in OBJECT_PATH_SCHEMES:
-        assert label_many(s, np.arange(3), np.arange(3)).dtype == object
-        for cap in (0, 16, 10**6):
-            d = check_diamond(s, cap)
-            assert d == oracle.check_diamond(*plain(s), cap), (s, cap)
-            assert (check_window(s, 12, 12, cap, x0=-5, y0=2)
-                    == oracle.check_window(*plain(s), 12, 12, cap, x0=-5, y0=2)), \
-                (s, cap)
-            failing += not d.passed
-    assert failing, "no object-path scheme fails"
+    check_row(VALIDITY_COLUMNS, Row(object_path, BOTH))
+
+
+def past_int64():
+    # The required gaps and the sentinel -(k+1) are Python integers too;
+    # x + y mod c fails every offset at this k.
+    cases = [Case(s, cap, (5, 7, -3, 10**20))
+             for s in [scheme_params(10**30 + 1), hand_built(1, 1, 2**70 + 1, 2**64)]
+             for cap in (0, 10**6)]
+    assert [window_reference(case).passed for case in cases] == [True, True, False, False]
+    return cases
 
 
 def test_window_matches_reference_when_k_is_past_int64():
-    # The required gaps and the sentinel -(k+1) are Python integers too;
-    # x + y mod c fails every offset at this k.
-    for s in [scheme_params(10**30 + 1), hand_built(1, 1, 2**70 + 1, 2**64)]:
-        for cap in (0, 10**6):
-            got = check_window(s, 5, 7, cap, x0=-3, y0=10**20)
-            assert got == oracle.check_window(*plain(s), 5, 7, cap, x0=-3, y0=10**20)
-            assert got.passed == (s.a != 1), s
+    check_row(VALIDITY_COLUMNS, Row(past_int64, {"window"}))
+
+
+def dtype_limit(c):
+    # a = c - 1 puts labels 0 and c - 1 side by side, the widest gap the
+    # narrowed grid must hold; b = 1 makes vertical neighbours violate.
+    return [Case(hand_built(a, b, c, k), cap, (11, 9, x0, y0))
+            for k in (1, 3, 5, 9)
+            for a, b in [(c - 1, 1), (c - 1, c // 2), (c // 3, c - 2), (1, c - 1)]
+            for x0, y0 in [(0, 0), (c - 3, 1 - c), (-(10**12), 7)]
+            for cap in (0, 10**6)]
 
 
 @pytest.mark.parametrize("c", [2**15 - 11, 2**15 - 1, 2**15, 2**31 - 11,
                                2**31 - 1, 2**31])
 def test_window_matches_reference_at_the_narrow_dtype_limits(c):
-    # a = c - 1 puts labels 0 and c - 1 side by side, the widest gap the
-    # narrowed grid must hold; b = 1 makes vertical neighbours violate.
-    for k in (1, 3, 5, 9):
-        for a, b in [(c - 1, 1), (c - 1, c // 2), (c // 3, c - 2), (1, c - 1)]:
-            s = hand_built(a, b, c, k)
-            for x0, y0 in [(0, 0), (c - 3, 1 - c), (-(10**12), 7)]:
-                for cap in (0, 10**6):
-                    assert (check_window(s, 11, 9, cap, x0=x0, y0=y0)
-                            == oracle.check_window(*plain(s), 11, 9, cap,
-                                                   x0=x0, y0=y0)), \
-                        (k, a, b, c, x0, y0, cap)
+    check_row(VALIDITY_COLUMNS, Row(functools.partial(dtype_limit, c), BOTH))
 
 
 # Windows one cell wide or tall, thin and tall, and narrower or shorter
@@ -307,55 +336,111 @@ SHAPE_SCHEMES = [
 ]
 
 
+def shaped(width, height):
+    assert not oracle.check_diamond(*plain(SHAPE_SCHEMES[5])).passed
+    assert label_window(OBJECT_PATH_SCHEMES[3], 0, 0, 2, 2).dtype == object
+    return [Case(s, cap, (width, height, x0, y0)) for s in SHAPE_SCHEMES
+            for x0, y0 in [(0, 0), (-7, 13), (10**12, -3)] for cap in (0, 16, 10**6)]
+
+
 @pytest.mark.parametrize("width, height", WINDOW_SHAPES)
 def test_window_matches_reference_on_every_shape(width, height):
-    assert not check_diamond(SHAPE_SCHEMES[5]).passed
-    assert label_window(OBJECT_PATH_SCHEMES[3], 0, 0, 2, 2).dtype == object
-    for s in SHAPE_SCHEMES:
-        for x0, y0 in [(0, 0), (-7, 13), (10**12, -3)]:
-            for cap in (0, 16, 10**6):
-                assert (check_window(s, width, height, cap, x0=x0, y0=y0)
-                        == oracle.check_window(*plain(s), width, height, cap,
-                                               x0=x0, y0=y0)), (s, x0, y0, cap)
+    check_row(VALIDITY_COLUMNS, Row(functools.partial(shaped, width, height), BOTH))
+
+
+def equal_labels():
+    # a = b gives equal labels at offset (1, -1) and its negation. A wide
+    # window is checked transposed, where that offset comes out as (-1, 1);
+    # reports still name the orientation with x > 0.
+    cases = [Case(hand_built(5, 5, 40), 10**6, (width, height, -4, 7))
+             for width, height in [(20, 3), (3, 20), (9, 9)]]
+    assert all(((1, -1), 2, 2, 0) in window_reference(case).violations for case in cases)
+    return cases
+
+
+def test_window_wide_and_tall_agree_on_equal_labels():
+    check_row(VALIDITY_COLUMNS, Row(equal_labels, BOTH))
+
+
+BLOCK_SCHEMES = [scheme_params(1), scheme_params(9), scheme_params(24),
+                 hand_built(1, 1, 3, 5), hand_built(2, 9, 40, 7), OBJECT_PATH_SCHEMES[1]]
+
+
+@functools.cache
+def window_blocks():
+    # Tall, wide and square windows. At k = 40 the farthest offsets
+    # (1, -36) and (-36, 1) of 2x37 and 37x2 windows have one pair each.
+    shapes = [(s, shape) for s in [*BLOCK_SCHEMES, hand_built(7, 7, 300, 9)]
+              for shape in [(1, 37), (37, 1), (4, 50), (50, 4), (20, 17), (17, 20),
+                            (30, 30)]]
+    shapes += [(hand_built(1, 1, 3, 40), shape) for shape in [(2, 37), (37, 2)]]
+    cases = [Case(s, cap, (*shape, -7, 3)) for s, shape in shapes for cap in (0, 10**6)]
+    assert sum(not window_reference(case).passed for case in cases) >= 40
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 40, 100, 10**9])
+def test_window_blocks_match_reference(monkeypatch, block_cells):
+    # Bands of one row or cell, of a few rows not dividing the window, and
+    # of all of it.
+    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
+    check_row(VALIDITY_COLUMNS, Row(window_blocks, BOTH), only={"window"})
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 57, 95, 100, 10**9])
+def test_diamond_blocks_match_reference(monkeypatch, block_cells):
+    # Blocks of one column, of a few columns not dividing 2k+1, and of all.
+    # At k = 9, 57 and 95 put x = 0 first and last in a block of 3 and 5.
+    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
+    check_row(VALIDITY_COLUMNS, Row(lambda: [Case(s, cap) for s in BLOCK_SCHEMES
+                                             for cap in (0, 5, 10**6)], {"diamond"}))
+
+
+def label_refused():
+    schemes = (SHAPE_SCHEMES + OBJECT_PATH_SCHEMES
+               + [hand_built(*m) for m in oracle.perturbed([1, *range(3, 14)])])
+    cases = [Case(s, cap, (20, 17, -7, 13)) for s in schemes for cap in (0, 16, 10**6)]
+    assert sum(not window_reference(case).passed for case in cases) >= 200
+    return cases
 
 
 def test_window_reports_the_gaps_it_observed(monkeypatch):
     # With scalar label evaluation refused, every reported gap comes from
-    # the window's own comparisons of its grid.
+    # the checks' own comparisons of their grids.
     def refuse(*args):
-        raise AssertionError("check_window evaluated a label by itself")
+        raise AssertionError("a check evaluated a label by itself")
 
-    schemes = (SHAPE_SCHEMES + OBJECT_PATH_SCHEMES
-               + [hand_built(*m) for m in oracle.perturbed([1] + list(range(3, 14)))])
-    expected = {(s, cap): oracle.check_window(*plain(s), 20, 17, cap, x0=-7, y0=13)
-                for s in schemes for cap in (0, 16, 10**6)}
     monkeypatch.setattr(verifier, "label", refuse)
-    failing = 0
-    for (s, cap), want in expected.items():
-        assert check_window(s, 20, 17, cap, x0=-7, y0=13) == want, (s, cap)
-        failing += not want.passed
-    assert failing >= 200, failing
+    check_row(VALIDITY_COLUMNS, Row(label_refused, BOTH))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 9), st.integers(1, 40), st.integers(1, 40),
-    st.one_of(st.tuples(st.integers(0, 300), st.integers(0, 300),
-                        st.integers(1, 300)),
-              st.sampled_from([None, (2**15 - 2, 1, 2**15 - 1),
-                               (1, 2**31 - 2, 2**31 - 1), (3, 2**31 + 1, 2**31)])),
-    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-    st.sampled_from([0, 1, 16, 10**6]),
-)
-def test_window_matches_reference_on_random_shapes(k, width, height, coeffs,
-                                                   x0, y0, cap):
+def drawn(k, width, height, coeffs, x0, y0, cap):
     # None draws the paper's scheme (k = 2 has none: its mutant stands in).
     if coeffs is None:
         s = scheme_params(k) if k != 2 else hand_built(2, 3, 7, 2)
     else:
         s = hand_built(*coeffs, k)
-    assert (check_window(s, width, height, cap, x0=x0, y0=y0)
-            == oracle.check_window(*plain(s), width, height, cap, x0=x0, y0=y0))
+    return Case(s, cap, (width, height, x0, y0))
+
+
+def test_window_matches_reference_on_random_shapes():
+    check_row(VALIDITY_COLUMNS, Row(st.builds(
+        drawn, st.integers(1, 9), st.integers(1, 40), st.integers(1, 40),
+        st.one_of(st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(1, 300)),
+                  st.sampled_from([None, (2**15 - 2, 1, 2**15 - 1),
+                                   (1, 2**31 - 2, 2**31 - 1), (3, 2**31 + 1, 2**31)])),
+        st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+        st.sampled_from([0, 1, 16, 10**6])), BOTH, max_examples=200))
+
+
+def test_window_agrees_with_naive_oracle_fuzz():
+    # Windows of k + 3 cells a side, for the literal pair loop.
+    check_row(VALIDITY_COLUMNS, Row(st.builds(
+        lambda k, a, b, c, x0, y0: Case(hand_built(a, b, c, k), 10**6,
+                                        (k + 3, k + 3, x0, y0)),
+        st.integers(1, 5), st.integers(1, 40), st.integers(1, 40), st.integers(2, 40),
+        st.integers(-50, 50), st.integers(-50, 50)), BOTH, max_examples=60))
+
 
 
 def test_wide_windows_check_as_fast_as_tall_ones():
@@ -401,61 +486,6 @@ def test_window_grid_takes_the_narrowest_type_holding_c(bound, dtype):
     for k in (1, 3, 9):
         assert window_grid(hand_built(1, 1, bound - k - 1, k)).dtype == dtype, k
     assert window_grid(hand_built(1, 1, 7, 2**63)).dtype == object
-
-
-def test_window_wide_and_tall_agree_on_equal_labels():
-    # a = b gives equal labels at offset (1, -1) and its negation. A wide
-    # window is checked transposed, where that offset comes out as (-1, 1);
-    # reports still name the orientation with x > 0.
-    s = hand_built(5, 5, 40)
-    for width, height in [(20, 3), (3, 20), (9, 9)]:
-        verdict = check_window(s, width, height, 10**6, x0=-4, y0=7)
-        assert verdict == oracle.check_window(*plain(s), width, height, 10**6,
-                                              x0=-4, y0=7)
-        assert ViolationReport((1, -1), 2, 2, 0) in verdict.violations
-        assert {rep.offset for rep in verdict.violations} == \
-            oracle.naive_window_check(*plain(s), width, height, -4, 7)
-
-
-WINDOW_BLOCK_SHAPES = [(1, 37), (37, 1), (4, 50), (50, 4), (20, 17), (17, 20),
-                       (30, 30)]
-
-
-@pytest.mark.parametrize("block_cells", [1, 7, 40, 100, 10**9])
-def test_window_blocks_match_reference(monkeypatch, block_cells):
-    # Bands of one row or cell, of a few rows not dividing the window, and
-    # of all of it, on tall, wide and square windows. At k = 40 the
-    # farthest offsets (1, -36) and (-36, 1) of 2x37 and 37x2 windows have
-    # one pair each.
-    schemes = [scheme_params(1), scheme_params(9), scheme_params(24),
-               hand_built(1, 1, 3, 5), hand_built(2, 9, 40, 7),
-               hand_built(7, 7, 300, 9),
-               OBJECT_PATH_SCHEMES[1]]
-    cases = [(s, shape) for s in schemes for shape in WINDOW_BLOCK_SHAPES]
-    cases += [(hand_built(1, 1, 3, 40), shape) for shape in [(2, 37), (37, 2)]]
-    expected = {(s, shape, cap): oracle.check_window(*plain(s), *shape, cap,
-                                                     x0=-7, y0=3)
-                for s, shape in cases for cap in (0, 10**6)}
-    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
-    failing = 0
-    for (s, shape, cap), want in expected.items():
-        got = check_window(s, *shape, cap, x0=-7, y0=3)
-        assert got == want, (s, shape, cap)
-        assert got.checked_pairs == window_pairs(s.k, *shape)
-        failing += not got.passed
-    assert failing >= 40, failing
-
-
-@pytest.mark.parametrize("block_cells", [1, 7, 57, 95, 100, 10**9])
-def test_diamond_blocks_match_reference(monkeypatch, block_cells):
-    # Blocks of one column, of a few columns not dividing 2k+1, and of all.
-    # At k = 9, 57 and 95 put x = 0 first and last in a block of 3 and 5.
-    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
-    for s in [scheme_params(1), scheme_params(9), scheme_params(24),
-              hand_built(1, 1, 3, 5), hand_built(2, 9, 40, 7), OBJECT_PATH_SCHEMES[1]]:
-        for cap in (0, 5, 10**6):
-            assert check_diamond(s, cap) == oracle.check_diamond(*plain(s), cap), \
-                (s, cap)
 
 
 def test_diamond_memory_is_bounded_by_the_block():
@@ -595,19 +625,6 @@ def test_mark_row_flags_the_row_labels_of_a_wide_period(a, b, c):
         assert marked_row(a, b, c, y) == oracle.row_flags(a, b, c, y), y
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(-70, 70), st.integers(-70, 70), st.integers(1, 60))
-def test_no_hole_reports_match_a_dense_count(a, b, c):
-    # Any linear scheme, holes, zero and negative coefficients included:
-    # the attained labels are the multiples of gcd(a, b, c), c / gcd of them.
-    s = hand_built(a, b, c)
-    dense = oracle.dense_label_count(s.a, s.b, s.c)
-    report = check_no_hole(s, "both")
-    assert report.attained_count == dense
-    assert report.is_no_hole == (dense == c)
-    assert report.gcd_triple == c // dense
-
-
 def test_gcd_a_c_is_at_most_thirteen_up_to_k_20000():
     # Bounds the rows the no-hole enumeration labels for a paper scheme.
     gcds = {math.gcd(s.a, s.c)
@@ -667,20 +684,7 @@ def test_no_hole_rejects_unknown_mode():
         check_no_hole(scheme_params(3), "telepathy")
 
 
-@pytest.mark.parametrize("block_cells", [1, 7, 100, 10**9])
-def test_no_hole_row_blocks_count_like_the_dense_period(monkeypatch, block_cells):
-    # BLOCK_CELLS sizes the diamond and window checks only: below one row,
-    # not dividing c, or above c*c, the no-hole count stays the dense one.
-    monkeypatch.setattr(verifier, "BLOCK_CELLS", block_cells)
-    # In the last three, single rows miss labels other rows attain.
-    for s in [scheme_params(5), hand_built(5, 15, 15), hand_built(6, 10, 100),
-              hand_built(10, 3, 30), hand_built(0, 1, 30), hand_built(0, 4, 30)]:
-        report = check_no_hole(s, "enumerate")
-        assert report.attained_count == oracle.dense_label_count(s.a, s.b, s.c), \
-            (block_cells, s)
-
-
-def test_no_hole_enumeration_memory_is_bounded_by_the_block():
+def test_no_hole_enumeration_memory_is_far_below_a_dense_period():
     s = scheme_params(25)  # c = 3218: a dense period would be 83 MB of int64
     dense_bytes = s.c * s.c * 8
     report, peak = peak_traced_bytes(
@@ -689,13 +693,65 @@ def test_no_hole_enumeration_memory_is_bounded_by_the_block():
     assert peak < 16 * 2**20 < dense_bytes / 4, peak
 
 
+# ------------------------------------------- no-hole: the agreement table
+#
+# Columns are check_no_hole's modes; each test below is one row, every
+# mode in whose domain a scheme lies compared with the dense count.
+
+def no_hole_agrees(mode):
+    def agrees(s):
+        dense = oracle.dense_label_count(s.a, s.b, s.c)
+        want = (dense == s.c, s.c // dense, None if mode == "gcd" else dense)
+        assert check_no_hole(s, mode) == want, s
+    return agrees
+
+
+NO_HOLE_COLUMNS = {
+    "gcd": Column(lambda s: True, no_hole_agrees("gcd")),
+    # The default budget: c^2 labels.
+    **{mode: Column(lambda s: s.c * s.c <= DEFAULT_PAIR_BUDGET, no_hole_agrees(mode))
+       for mode in ("enumerate", "both")},
+}
+
+
 def test_gcd_and_enumeration_agree_for_small_k():
-    for k in range(1, 14):
-        if k == 2:
-            continue
-        report = check_no_hole(scheme_params(k), "both")
-        assert report.is_no_hole == (report.gcd_triple == 1)
-        assert report.attained_count == scheme_params(k).c
+    check_row(NO_HOLE_COLUMNS, Row(lambda: [scheme_params(k) for k in [1, *range(3, 14)]],
+                                   set(NO_HOLE_COLUMNS)))
+
+
+def test_no_hole_counts_like_the_dense_period():
+    # In the last three, single rows miss labels other rows attain.
+    check_row(NO_HOLE_COLUMNS, Row(lambda: [scheme_params(5), hand_built(5, 15, 15),
+                                            hand_built(6, 10, 100), hand_built(10, 3, 30),
+                                            hand_built(0, 1, 30), hand_built(0, 4, 30)],
+                                   set(NO_HOLE_COLUMNS)))
+
+
+def test_no_hole_reports_match_a_dense_count():
+    # Any linear scheme, holes, zero and negative coefficients, a >= c and
+    # c = 1 included: the attained labels are the multiples of gcd(a, b, c).
+    check_row(NO_HOLE_COLUMNS, Row(st.builds(hand_built, st.integers(-70, 70),
+                                             st.integers(-70, 70), st.integers(1, 60)),
+                                   set(NO_HOLE_COLUMNS), max_examples=300))
+
+
+def test_both_routes_of_a_claim_run_in_full_up_to_k_290_and_21():
+    # The full window of k, (k+1) x (k+1), holds every offset of the
+    # diamond: both validity routes run in full for k <= 290. Both no-hole
+    # routes run at the default budget for k <= 21.
+    supported = [1, *range(3, 400)]
+    diamond, window = (VALIDITY_COLUMNS[name].domain for name in ("diamond", "window"))
+    full = [k for k in supported
+            if window(Case(scheme_params(k), window=(k + 1, k + 1, 0, 0)))]
+    assert full == [1, *range(3, 291)]
+    with pytest.raises(BudgetExceeded, match="^window check needs"):
+        write_verify(None, scheme_params(291), "window", 292, 292, "csv")
+    assert [k for k in (9189, 9190) if diamond(Case(scheme_params(k)))] == [9189]
+    enumerated = [k for k in supported
+                  if NO_HOLE_COLUMNS["enumerate"].domain(scheme_params(k))]
+    assert enumerated == [1, *range(3, 22)]
+    with pytest.raises(BudgetExceeded):
+        check_no_hole(scheme_params(22), "enumerate")
 
 
 # ------------------------------------------------------------- gcd(a, b)

@@ -68,6 +68,14 @@ MUTANTS = [
      "the no-hole enumeration stops after its first row"),
     (VERIFIER, "total = width * (m * height - m * (m + 1) // 2)",
      "total = width * (m * height - m * m // 2)", "window_pairs miscounts dx = 0"),
+    (VERIFIER, "diff >= 0 if offset > (0, 0)", "diff > 0 if offset > (0, 0)",
+     "_orient sends a zero gap to the offset with x < 0"),
+    (VERIFIER, "surjective != (g == 1)", "False",
+     "the no-hole cross-check of both routes never fires"),
+    (VERIFIER, "step = min(step, c - step)", "step = step",
+     "_mark_row marks with step a mod c where c - step is shorter"),
+    (VERIFIER, "if count > budget:", "if count > budget + 1:",
+     "_check_size lets one unit over the budget through"),
     (VERIFIER, "partner.fill(-(k + 1))", "partner.fill(-k)",
      "equivalent: a sentinel of -k is at least k from every label, and no "
      "offset at distance r >= 1 requires more than k"),
@@ -75,6 +83,9 @@ MUTANTS = [
      "the even-k bound numerator"),
     (BOUNDS, "ceiled=-(-num // 3)", "ceiled=num // 3",
      "the lower bound floored, not ceiled"),
+    (BOUNDS, "outer = sum(m * (p + 1 - m) for m in range(1, p + 1))",
+     "outer = sum(m * (p + 1 - m) for m in range(1, p))",
+     "lb_summation's outer sum drops its last term"),
     (SEARCH, "limits[0] = (lam - 1) // 2", "limits[0] = lam - 1",
      "the search's first-vertex cap dropped"),
     (SEARCH, "least_gap = k + 1 - k // 2", "least_gap = k - k // 2",
