@@ -18,7 +18,6 @@ from .bounds import (
     lambda_lb,
     lb_summation,
     ratio,
-    triangular_convolution,
 )
 from .lattice import Vertex, ball, sphere, t_set
 from .scheme import (
@@ -67,7 +66,7 @@ __all__ = [
     "BudgetExceeded", "label_difference",
     "check_diamond", "check_window", "window_pairs", "check_no_hole",
     "LowerBound", "BoundsRecord", "lambda_lb", "lb_summation",
-    "triangular_convolution", "ratio", "bounds_table", "EVEN_K", "ODD_K",
+    "ratio", "bounds_table", "EVEN_K", "ODD_K",
     "Patch", "PatchSearchResult", "InvalidPatch",
     "exact_span", "probe_feasible",
 ]

@@ -67,18 +67,6 @@ def _lb_numerator(k: int) -> int:
     return 2 * p * (p + 1) * (2 * p + 3) + 6
 
 
-def triangular_convolution(p: int) -> int:
-    """Sum of m*(p+1-m) for m = 1..p, by direct summation.
-
-    Equals p(p+1)(p+2)/6; the loop exists so the closed form can be
-    cross-checked instead of assumed.
-    """
-    p = operator.index(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return sum(m * (p + 1 - m) for m in range(1, p + 1))
-
-
 def lb_summation(p: int, parity: str) -> Fraction:
     """Lower bound recomputed from the explicit packing sums.
 

@@ -228,6 +228,18 @@ def scan_box(predicate, reach):
                   for y in range(-reach, reach + 2) if predicate(x, y))
 
 
+def shells(distance, reach):
+    """The points of the same box grouped by distance(x, y): group m holds
+    those at m <= reach, in lexicographic order, from one scan of the box."""
+    groups = [[] for _ in range(reach + 1)]
+    for x in range(-reach, reach + 1):
+        for y in range(-reach, reach + 2):
+            m = distance(x, y)
+            if m <= reach:
+                groups[m].append((x, y))
+    return groups
+
+
 @functools.cache
 def packing_chain_bound(k):
     """Labels the radius-p ball needs, p = k // 2, by the packing chain.

@@ -33,7 +33,6 @@ from gridlabel import (
     scheme_params,
     sphere,
     t_set,
-    triangular_convolution,
 )
 from gridlabel.bounds import EVEN_K
 from gridlabel.cli import main
@@ -142,7 +141,6 @@ def test_criterion_06_lower_bound_values_and_summation():
         assert lambda_lb(3).ceiled == 9
         for p in range(1, 1001):
             assert lb_summation(p, EVEN_K) == lambda_lb(2 * p).exact
-            assert triangular_convolution(p) == p * (p + 1) * (p + 2) // 6
         # lb_summation's odd term is the closed form's own difference, so
         # odd k is checked against the packing chain over the radius-p
         # ball: pairwise distinct labels, consecutive gaps >= k+1-|u|-|v|.

@@ -165,8 +165,6 @@ ROWS = [
         (((0,), "p must be >= 1"),)),
     Row("lb_summation", lambda p: gridlabel.lb_summation(p, gridlabel.EVEN_K), (2,),
         (((0,), "p must be >= 1"),)),
-    Row("triangular_convolution", gridlabel.triangular_convolution, (3,),
-        (((0,), "p must be >= 1"), ((-4,), "p must be >= 1"))),
     Row("bounds_table", gridlabel.bounds_table, (3000001, 3000002),
         (((5, 3), "need 1 <= k_min <= k_max"), ((0, 3), "need 1 <= k_min <= k_max"))),
     Row("Patch", gridlabel.Patch, (2, 3),

@@ -19,6 +19,7 @@ from gridlabel import (
     label_rows,
     label_window,
     lambda_ub,
+    ratio,
     scheme_params,
 )
 from gridlabel.scheme import _progression
@@ -27,34 +28,13 @@ coords = st.integers(min_value=-10**9, max_value=10**9)
 supported_k = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 40, 41])
 
 
-def test_known_triples():
-    s3 = scheme_params(3)
-    assert (s3.a, s3.b, s3.c) == (5, 15, 12)
-    assert s3.parity_case == ODD_K_ODD_P and s3.p == 1
-    s7 = scheme_params(7)
-    assert (s7.a, s7.b, s7.c) == (9, 53, 92)
-    s1 = scheme_params(1)
-    assert (s1.a, s1.b, s1.c) == (3, 3, 2)
-    assert s1.parity_case == ODD_K_EVEN_P and s1.p == 0
-    s4 = scheme_params(4)
-    assert (s4.a, s4.b) == (5, 19)
-    assert s4.parity_case == EVEN_K_EVEN_P
-    s6 = scheme_params(6)
-    assert (s6.a, s6.b, s6.c) == (7, 41, 71)
-    assert s6.parity_case == EVEN_K_ODD_P
-
-
 def test_k2_unsupported():
     with pytest.raises(UnsupportedK):
         scheme_params(2)
     with pytest.raises(UnsupportedK):
         lambda_ub(2)
-
-
-def test_lambda_ub_values():
-    assert lambda_ub(3) == 12
-    assert lambda_ub(7) == 92
-    assert lambda_ub(1) == 2
+    with pytest.raises(UnsupportedK):
+        ratio(2)
 
 
 def test_label_examples():
@@ -90,16 +70,19 @@ def test_periodicity_and_range(k, x, y):
     assert label(s, (x, y + s.c)) == v
 
 
+# The case of k, p = k // 2, by the parities of k and of p.
+CASES = {(1, 1): ODD_K_ODD_P, (1, 0): ODD_K_EVEN_P,
+         (0, 1): EVEN_K_ODD_P, (0, 0): EVEN_K_EVEN_P}
+
+
 def test_all_cases_appear_and_exact_halving_up_to_1e4():
-    seen = set()
     for k in range(1, 10_001):
         if k == 2:
             continue
         s = scheme_params(k)  # raises ArithmeticError if a division were inexact
         assert (s.a, s.b, s.c) == oracle.coefficients(k), k
-        seen.add(s.parity_case)
+        assert (s.p, s.parity_case) == (k // 2, CASES[k % 2, k // 2 % 2]), k
         assert lambda_ub(k) == s.c
-    assert seen == {ODD_K_ODD_P, ODD_K_EVEN_P, EVEN_K_ODD_P, EVEN_K_EVEN_P}
 
 
 def test_coefficient_ordering():
@@ -263,10 +246,10 @@ def test_label_window_of_a_long_axis_matches_label_rows():
     s = scheme_params(20001)
     n = 100_000
     for x0, y0 in [(0, 0), (-(10**20), 3**40)]:
-        assert (label_window(s, x0, y0, n, 1).tolist()
-                == list(label_rows(s, x0, n, range(y0, y0 + 1))))
-        assert (label_window(s, x0, y0, 1, n).tolist()
-                == list(label_rows(s, x0, 1, range(y0, y0 + n))))
+        for w, h in [(n, 1), (1, n)]:
+            want = oracle.label_grid(s.a, s.b, s.c, x0, y0, w, h)
+            assert label_window(s, x0, y0, w, h).tolist() == want
+            assert list(label_rows(s, x0, w, range(y0, y0 + h))) == want
 
 
 @pytest.mark.parametrize("change, message", [

@@ -95,34 +95,11 @@ def test_budget_stop_is_exact():
     assert exact_span(Patch(3, 3), 4, node_budget=full.nodes_explored) == full
 
 
-def test_single_vertex():
-    for k in (1, 2, 9):
-        res = exact_span(Patch(1, 1), k)
-        assert res.minimal_lambda == 1
-        assert res.certificate == {(0, 0): 0}
-        assert res.exhausted
-
-
-def test_3x3_k1_bipartite():
-    res = exact_span(Patch(3, 3), 1)
-    assert res.minimal_lambda == 2 and res.exhausted
-    assert oracle.certificate_ok(3, 3, 1, res.certificate, 2)
-
-
-def test_2x2_k2_is_five():
-    res = exact_span(Patch(2, 2), 2)
-    assert res.minimal_lambda == 5 and res.exhausted
-    assert oracle.certificate_ok(2, 2, 2, res.certificate, 5)
-    feasible, _, _ = probe_feasible(Patch(2, 2), 2, 4)
-    assert feasible is False
-    assert oracle.brute_minimal_lambda(2, 2, 2, 6) == 5
-
-
 @pytest.mark.parametrize(
     "rows,cols,k,cap",
     [
         (1, 2, 1, 3), (1, 3, 2, 6), (2, 2, 1, 3), (2, 2, 2, 6),
-        (2, 2, 3, 9), (1, 4, 2, 6), (1, 3, 3, 8),
+        (2, 2, 3, 9), (1, 4, 2, 6), (1, 3, 3, 8), (1, 1, 2, 1), (1, 1, 9, 1),
     ],
 )
 def test_matches_brute_force_oracle(rows, cols, k, cap):
@@ -175,13 +152,6 @@ def test_budget_exhaustion_falls_back_to_greedy():
     assert oracle.certificate_ok(3, 3, 2, res.certificate, res.minimal_lambda)
     exact = exact_span(Patch(3, 3), 2)
     assert exact.minimal_lambda <= res.minimal_lambda
-
-
-def test_clique_lower_bound_values():
-    assert clique(Patch(3, 3), 1) == 1   # radius 0
-    assert clique(Patch(2, 2), 2) == 3   # corner ball of radius 1
-    assert clique(Patch(3, 3), 2) == 5   # centered ball of radius 1
-    assert clique(Patch(4, 4), 4) == 11  # radius-2 ball clipped
 
 
 def test_replace_checks_a_patch_like_the_constructor():

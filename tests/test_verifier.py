@@ -15,14 +15,11 @@ import oracle
 from conftest import Column, Row, check_row, hand_built, peak_traced_bytes, plain
 from gridlabel import verifier
 from gridlabel import (
-    GCD_AB_ALLOWED,
     BudgetExceeded,
     LabelingScheme,
-    ViolationReport,
     check_diamond,
     check_no_hole,
     check_window,
-    label,
     label_difference,
     label_many,
     label_window,
@@ -34,17 +31,6 @@ from gridlabel.verifier import DEFAULT_PAIR_BUDGET, window_pair_budget
 
 
 # ------------------------------------------------------- label_difference
-
-def test_label_difference_examples():
-    s3 = scheme_params(3)
-    u, v = (1, 0), (2, 1)
-    assert label(s3, u) == 5 and label(s3, v) == 1
-    assert label_difference(s3, u, v) == 4
-    assert label_difference(s3, u, v) == label(s3, (-1, -1))
-    assert label_difference(s3, (4, -7), (4, -7)) == 0
-    s7 = scheme_params(7)
-    assert label_difference(s7, (1, 0), (0, 0)) == 9
-
 
 @settings(max_examples=300)
 @given(
@@ -59,40 +45,7 @@ def test_label_difference_equals_absolute_gap(k, x1, y1, x2, y2):
     assert label_difference(s, (x1, y1), (x2, y2)) == expected
 
 
-# ----------------------------------------------------------- check_diamond
-
-def test_diamond_offsets_count_and_order():
-    offs = list(oracle.diamond_offsets(3))
-    assert len(offs) == 24
-    assert offs == sorted(offs)
-    assert all(1 <= abs(x) + abs(y) <= 3 for x, y in offs)
-
-
-def test_diamond_passes_for_real_schemes():
-    v3 = check_diamond(scheme_params(3))
-    assert v3.passed and v3.checked_pairs == 24 and v3.violations == ()
-    assert check_diamond(scheme_params(7)).passed
-    assert check_diamond(scheme_params(4)).passed
-
-
-def test_diamond_flags_hand_built_scheme():
-    verdict = check_diamond(hand_built(1, 1, 12))
-    assert not verdict.passed
-    assert ViolationReport((1, 0), 1, 3, 1) in verdict.violations
-    assert list(verdict.violations) == sorted(verdict.violations,
-                                              key=lambda r: r.offset)
-    for rep in verdict.violations:
-        assert 1 <= rep.r <= 3
-        assert rep.actual < rep.required_gap
-
-
-def test_diamond_violation_cap():
-    verdict = check_diamond(hand_built(1, 1, 3, 5), max_violations=4)
-    assert not verdict.passed
-    assert len(verdict.violations) == 4
-    verdict = check_diamond(hand_built(1, 1, 3, 5), max_violations=0)
-    assert not verdict.passed and verdict.violations == ()
-
+# ------------------------------------------ check_diamond and check_window
 
 def test_checks_report_sixteen_violations_by_default():
     s = hand_built(1, 1, 3, 5)
@@ -101,33 +54,11 @@ def test_checks_report_sixteen_violations_by_default():
     assert len(check_diamond(s).violations) == 16
     assert len(check_window(s, 10, 10).violations) == 16
 
-
-# ------------------------------------------------------------ check_window
-
-def test_window_passes_for_real_schemes():
-    assert check_window(scheme_params(3), 50, 50).passed
-    assert check_window(scheme_params(1), 10, 10).passed
-
-
-def test_window_pair_count():
-    # 10x10, k=1: 90 horizontal + 90 vertical adjacent pairs.
-    verdict = check_window(scheme_params(1), 10, 10)
-    assert verdict.checked_pairs == 180
-
-
 def test_k1_adjacent_labels_differ_by_exactly_one():
     s1 = scheme_params(1)
     grid = label_window(s1, 0, 0, 10, 10)
     assert (abs(grid[:, 1:] - grid[:, :-1]) == 1).all()
     assert (abs(grid[1:, :] - grid[:-1, :]) == 1).all()
-
-
-def test_window_flags_hand_built_scheme():
-    verdict = check_window(hand_built(1, 1, 12), 10, 10)
-    assert not verdict.passed
-    assert ViolationReport((1, 0), 1, 3, 1) in verdict.violations
-    assert list(verdict.violations) == sorted(verdict.violations,
-                                              key=lambda r: r.offset)
 
 
 def test_window_checks_the_window_at_its_origin():
@@ -170,14 +101,6 @@ def test_a_hand_built_k2_scheme_passes_every_audit():
     assert check_diamond(s).passed
     assert check_window(s, 20, 20).passed
     assert check_no_hole(s, "both").is_no_hole
-
-
-def test_injectivity_within_reuse_distance():
-    # Distinct vertices at distance <= k never share a label (gap >= 1).
-    for k in [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]:
-        s = scheme_params(k)
-        for off in oracle.diamond_offsets(k):
-            assert label(s, off) != 0, (k, off)
 
 
 # ------------------------------------------ validity: the agreement table
@@ -443,23 +366,12 @@ def test_window_agrees_with_naive_oracle_fuzz():
 
 
 
-def test_wide_windows_check_as_fast_as_tall_ones():
-    # A wide window is checked as the tall one it transposes to.
-    s = scheme_params(2001)
-    best = {}
-    for _ in range(3):
-        for shape in [(8000, 4), (4, 8000)]:
-            t0 = time.perf_counter()
-            assert check_window(s, *shape).passed
-            elapsed = time.perf_counter() - t0
-            best[shape] = min(best.get(shape, elapsed), elapsed)
-    assert best[8000, 4] <= 2 * best[4, 8000], best
-
-
-def test_tall_windows_check_as_fast_as_wide_ones():
-    # The same pairs on a 4-wide, 8000-tall window and on its transpose:
-    # each offset compares one contiguous run, so the shape barely matters.
-    # Slicing the 2-D grid per offset makes the tall one about 5x slower.
+def test_wide_and_tall_windows_check_equally_fast():
+    # The same pairs on a 4-wide, 8000-tall window and on its transpose.
+    # A wide window is checked as the tall one it transposes to, and each
+    # offset of a tall one compares one contiguous run, so the shape
+    # barely matters. Slicing the 2-D grid per offset makes the tall one
+    # about 5x slower.
     s = scheme_params(2001)
     assert window_pairs(2001, 4, 8000) == window_pairs(2001, 8000, 4)
     best = {}
@@ -469,7 +381,7 @@ def test_tall_windows_check_as_fast_as_wide_ones():
             assert check_window(s, *shape).passed
             elapsed = time.perf_counter() - t0
             best[shape] = min(best.get(shape, elapsed), elapsed)
-    assert best[4, 8000] <= 2 * best[8000, 4], best
+    assert max(best.values()) <= 2 * min(best.values()), best
 
 
 @pytest.mark.parametrize("bound, dtype", [
@@ -632,25 +544,6 @@ def test_gcd_a_c_is_at_most_thirteen_up_to_k_20000():
     assert gcds == {1, 5, 7, 13}
 
 
-def test_no_hole_k3_both_modes():
-    report = check_no_hole(scheme_params(3), "both")
-    assert report.is_no_hole and report.gcd_triple == 1
-    assert report.attained_count == 12
-
-
-def test_no_hole_k7_gcd_mode():
-    report = check_no_hole(scheme_params(7), "gcd")
-    assert report.is_no_hole and report.gcd_triple == 1
-    assert report.attained_count is None
-
-
-def test_no_hole_detects_altered_modulus():
-    report = check_no_hole(hand_built(5, 15, 15), "enumerate")
-    assert not report.is_no_hole
-    assert report.gcd_triple == 5
-    assert report.attained_count == 3  # only multiples of 5
-
-
 def test_no_hole_both_refuses_disagreeing_routes(monkeypatch):
     # Broken arithmetic that labels every vertex 0 leaves holes the gcd
     # route does not predict.
@@ -752,19 +645,3 @@ def test_both_routes_of_a_claim_run_in_full_up_to_k_290_and_21():
     assert enumerated == [1, *range(3, 22)]
     with pytest.raises(BudgetExceeded):
         check_no_hole(scheme_params(22), "enumerate")
-
-
-# ------------------------------------------------------------- gcd(a, b)
-
-def test_gcd_ab_examples():
-    schemes = [scheme_params(k) for k in (3, 7, 4, 1)]
-    assert [math.gcd(s.a, s.b) for s in schemes] == [5, 1, 1, 3]
-
-
-def test_gcd_ab_membership_up_to_500():
-    for k in range(1, 501):
-        if k == 2:
-            continue
-        s = scheme_params(k)
-        assert math.gcd(s.a, s.b) in GCD_AB_ALLOWED[s.parity_case], k
-        assert math.gcd(s.a, s.b, s.c) == 1

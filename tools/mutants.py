@@ -39,6 +39,10 @@ LATTICE, CLI = "src/gridlabel/lattice.py", "src/gridlabel/cli.py"
 MUTANTS = [
     (SCHEME, "3 * p * p + 7 * p + 5,", "3 * p * p + 7 * p + 6,",
      "coefficients: b of the odd-k, odd-p case"),
+    (SCHEME, "return (p, ODD_K_EVEN_P,", "return (p, ODD_K_ODD_P,",
+     "odd k with even p is named the odd-p case"),
+    (SCHEME, "ODD_K_ODD_P: frozenset({1, 5}),", "ODD_K_ODD_P: frozenset({1}),",
+     "GCD_AB_ALLOWED leaves out gcd(a, b) = 5, which k = 3 has"),
     (SCHEME, "if c < 1:", "if c < 0:", "the modulus check lets c = 0 through"),
     (SCHEME, "(a % c + b % c) * (c - 1) <= _INT64_MAX",
      "(a % c + b % c) * (c - 1) < _INT64_MAX", "_int64_safe one off at its bound"),
@@ -52,6 +56,12 @@ MUTANTS = [
      "label_many reads an object operand only where broadcasting reaches"),
     (VERIFIER, "required[-x_lo, h] = 0", "required[-x_lo, h] = 1",
      "the diamond checks the origin against itself"),
+    (VERIFIER, "keep = max_violations - len(violations)",
+     "keep = max_violations - len(violations) + 1",
+     "the diamond reports one violation past its cap"),
+    (VERIFIER, "if label(scheme, u) < label(scheme, v):",
+     "if label(scheme, u) > label(scheme, v):",
+     "label_difference takes the smaller label first"),
     (VERIFIER, "h = k - int(np.abs(xs).min())", "h = k - int(np.abs(xs).min()) - 1",
      "diamond blocks one row short of their tallest column"),
     (VERIFIER, "        reach = min(k - dx, height - 1)",
@@ -76,6 +86,8 @@ MUTANTS = [
      "_mark_row marks with step a mod c where c - step is shorter"),
     (VERIFIER, "if count > budget:", "if count > budget + 1:",
      "_check_size lets one unit over the budget through"),
+    (VERIFIER, "gcd_triple=g, attained_count=None)", "gcd_triple=g, attained_count=0)",
+     "the gcd mode reports an attained count it never enumerated"),
     (VERIFIER, "partner.fill(-(k + 1))", "partner.fill(-k)",
      "equivalent: a sentinel of -k is at least k from every label, and no "
      "offset at distance r >= 1 requires more than k"),
@@ -97,6 +109,9 @@ MUTANTS = [
      "the same union, only slower"),
     (LATTICE, "for y in (-rest, rest + 1)]", "for y in (-rest, rest)]",
      "t_set takes the upper point of the unshifted sphere"),
+    (LATTICE, "range(-rest, rest + 1, 2 * rest or 1)",
+     "range(-rest, rest, 2 * rest or 1)",
+     "sphere drops the top point of each column"),
     (LATTICE, "for y in range(-rest, rest + 1)]", "for y in range(-rest, rest)]",
      "ball drops the top point of each column"),
     (LATTICE, "2 * rest or 1)", "2 * rest or 2)",
