@@ -17,14 +17,22 @@ raises ValueError for an unknown format before it checks or writes
 anything.
 
 The writers only format: labels come from scheme.label_rows, checks
-and bounds from the verifier and bounds modules. label_rows, bounds,
-search and the no-hole audit need no arrays, so label, bounds, nohole
-and search never import numpy; verify imports it through the verifier
-when its first check runs. json is imported by ``_stream_json`` on its
-first call, so only ``--format json`` imports it. No command imports
-dataclasses: result records are NamedTuples, and JSON reads them with
-``_asdict()``. No command imports fractions either: bounds prints its
-ratios from the integer rows of bounds._bounds_rows.
+from verifier, bound rows from bounds._bounds_rows and patches from
+search. A layer's source runs on its first use (see the package
+docstring), and each writer reads its layer's functions off the module
+when it runs, so a command runs only the layers it uses:
+
+    label             scheme
+    verify, nohole    scheme, verifier
+    bounds            scheme, bounds
+    search            scheme, search
+
+and none runs lattice. The parser's defaults and the budget checks come
+from _budgets, so a usage error runs scheme alone. Only verify imports
+numpy, through the verifier when its first check runs; only ``--format
+json`` imports json, in ``_stream_json``. No command imports
+dataclasses or fractions: result records are NamedTuples, which JSON
+reads with ``_asdict()``, and bounds prints its ratios from integer rows.
 
 Exit codes are a stable contract: 0 = success / all checks passed,
 1 = a property violation was found, 2 = usage error, unsupported k, or
@@ -53,20 +61,10 @@ import os
 import sys
 from typing import Optional
 
-from .bounds import _bounds_rows
+from . import bounds, search, verifier
+from ._budgets import (DEFAULT_MAX_VIOLATIONS, DEFAULT_NODE_BUDGET,
+                       DEFAULT_PAIR_BUDGET, _check_size)
 from .scheme import LabelingScheme, UnsupportedK, label_rows, scheme_params
-from .search import DEFAULT_NODE_BUDGET, Patch, exact_span
-from .verifier import (
-    DEFAULT_MAX_VIOLATIONS,
-    DEFAULT_PAIR_BUDGET,
-    VerificationVerdict,
-    _check_size,
-    check_diamond,
-    check_no_hole,
-    check_window,
-    window_pair_budget,
-    window_pairs,
-)
 
 MAX_OUTPUT_ROWS = 1_000_000
 #: 2k(k+1) offsets at k = 9189, a time budget: that diamond takes about
@@ -209,14 +207,15 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
                     MAX_DIAMOND_OFFSETS)
     if window:
         _check_size("window", width * height, "cells", MAX_OUTPUT_ROWS)
-        _check_size("window check", window_pairs(scheme.k, width, height),
-                    "pairs", window_pair_budget(scheme))
-    checks: dict[str, VerificationVerdict] = {}  # reports keep this order
+        _check_size("window check",
+                    verifier.window_pairs(scheme.k, width, height), "pairs",
+                    verifier.window_pair_budget(scheme))
+    checks: dict[str, verifier.VerificationVerdict] = {}  # reports keep this order
     if diamond:
-        checks["diamond"] = check_diamond(scheme, max_violations)
+        checks["diamond"] = verifier.check_diamond(scheme, max_violations)
     if window:
-        checks["window"] = check_window(scheme, width, height, max_violations,
-                                        x0=x0, y0=y0)
+        checks["window"] = verifier.check_window(scheme, width, height,
+                                                 max_violations, x0=x0, y0=y0)
     passed = all(v.passed for v in checks.values())
     shifted = (x0, y0) != (0, 0)
     if fmt == "json":
@@ -243,7 +242,7 @@ def write_verify(out, scheme: LabelingScheme, mode: str, width: int,
     return 0 if passed else 1
 
 
-def _verify_lines(checks: dict[str, VerificationVerdict], where: str):
+def _verify_lines(checks: dict[str, verifier.VerificationVerdict], where: str):
     for name, v in checks.items():
         yield (f"{name}{where if name == 'window' else ''}: "
                f"{'PASS' if v.passed else 'FAIL'} ({v.checked_pairs} pairs "
@@ -289,7 +288,7 @@ def write_bounds(out, k_min: int, k_max: int, fmt: str) -> int:
                  None if upper is None else str(upper),
                  None if upper is None else _fraction_text(upper, lower),
                  None if upper is None else f"{upper / lower:.6g}")
-                for k, num, lower, upper in _bounds_rows(k_min, k_max))
+                for k, num, lower, upper in bounds._bounds_rows(k_min, k_max))
 
     rows = fields()  # checks the range before anything is written
     if fmt == "csv":
@@ -317,7 +316,7 @@ def write_nohole(out, scheme: LabelingScheme, mode: str, pair_budget: int,
     """Run the no-hole audit and write its report to out; returns the exit
     code, 0 for a no-hole scheme and 1 otherwise."""
     _check_format(fmt)
-    report = check_no_hole(scheme, mode, pair_budget)
+    report = verifier.check_no_hole(scheme, mode, pair_budget)
     if fmt == "json":
         _stream_json(out, _envelope(scheme.k, scheme, mode=mode, **report._asdict()))
     elif fmt == "csv":
@@ -338,8 +337,8 @@ def write_search(out, rows: int, cols: int, k: int, node_budget: int,
     """Search the rows x cols patch for its minimal span and write the
     result and certificate to out; returns 0."""
     _check_format(fmt)
-    patch = Patch(rows=rows, cols=cols)
-    result = exact_span(patch, k, node_budget)
+    patch = search.Patch(rows=rows, cols=cols)
+    result = search.exact_span(patch, k, node_budget)
     cert = result.certificate
     if fmt == "json":
         try:

@@ -32,8 +32,9 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
+from ._budgets import DEFAULT_NODE_BUDGET
+
 MAX_VERTICES = 64
-DEFAULT_NODE_BUDGET = 10_000_000
 
 # Per vertex i: (j, gap) for every earlier vertex j within distance k.
 _Constraints = list[list[tuple[int, int]]]

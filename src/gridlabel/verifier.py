@@ -43,13 +43,14 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
+# BudgetExceeded is read from here: gridlabel.BudgetExceeded and callers.
+from ._budgets import (DEFAULT_MAX_VIOLATIONS, DEFAULT_PAIR_BUDGET,
+                       BudgetExceeded, _check_size)
 from .scheme import LabelingScheme, _label_grid, label, label_window
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_MAX_VIOLATIONS = 16
-DEFAULT_PAIR_BUDGET = 4_000_000
 #: Pairs a window check should compare, counted by window_pairs.
 #: Int16 comparisons (c + k + 1 < 2^15, k <= 55) reach about 3.5 G
 #: pairs/s: a 1000x1000 window at k = 50 (2.5e9 pairs) takes about 0.7 s
@@ -67,20 +68,6 @@ MAX_OBJECT_WINDOW_PAIRS = 5 * 10**7
 #: Cells per block of the diamond check and per gap chunk of
 #: check_window's subtract/abs/min calls.
 BLOCK_CELLS = 1 << 17
-
-
-class BudgetExceeded(ValueError):
-    """A request over one of its budgets, refused before any work starts."""
-
-    def __init__(self, what: str, needed: int, unit: str, budget: int):
-        self.needed = needed
-        self.budget = budget
-        super().__init__(f"{what} needs {needed} {unit}, budget is {budget}")
-
-
-def _check_size(what: str, count: int, unit: str, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceeded(what, count, unit, budget)
 
 
 class ViolationReport(NamedTuple):

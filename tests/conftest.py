@@ -1,12 +1,18 @@
 """Helpers shared by the test files: schemes built from the integers the
 oracle takes, a stand-in for work that must not start, the peak memory
-of a call, and the rows of the agreement tables."""
+of a call, a new interpreter with the package and the layers it ran,
+and the rows of the agreement tables."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from hypothesis import given, settings
 
+import gridlabel
 from gridlabel import LabelingScheme
 
 
@@ -33,6 +39,29 @@ def peak_traced_bytes(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def run_python(*args):
+    """stdout of a new interpreter run with args, this package on its path
+    and COLUMNS=80 (argparse wraps its help to it); it must exit 0."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Put before a script that run_python runs: ran() is the set of layers
+# whose source has run. A layer that has not run holds only module
+# attributes (__name__, __spec__ ...).
+RAN = """
+import sys
+LAYERS = ("lattice", "scheme", "verifier", "bounds", "search")
+def ran():
+    return {layer for layer in LAYERS if any(
+        not name.startswith("__") for name in vars(sys.modules["gridlabel." + layer]))}
+"""
 
 
 # Each of the paper's claims has one agreement table: its columns are the

@@ -20,8 +20,9 @@ from gridlabel import (
 
 
 # The lower bound's agreement table: its columns are the routes to the
-# closed form, lambda_lb and lb_summation per parity, each compared with
-# oracle.lambda_lb's product form; its rows are the tests below.
+# closed form, lambda_lb, bounds_table and lb_summation per parity, each
+# compared with oracle.lambda_lb's product form (bounds_table's upper
+# bound with oracle.coefficients); its rows are the tests below.
 
 def lambda_lb_agrees(k):
     got = lambda_lb(k)
@@ -32,6 +33,16 @@ def lb_summation_agrees(parity):
     def agrees(k):
         assert lb_summation(k // 2, parity) == oracle.lambda_lb(k), k
     return agrees
+
+
+def bounds_table_agrees(k):
+    # One record for the one k; upper and ratio are None where the paper
+    # has no scheme (k = 2).
+    lower = oracle.lambda_lb(k)
+    upper = None if oracle.coefficients(k) is None else oracle.coefficients(k)[2]
+    (rec,) = bounds_table(k, k)
+    assert rec == (k, lower, math.ceil(lower), upper,
+                   None if upper is None else Fraction(upper, math.ceil(lower))), k
 
 
 #: lb_summation sums p terms, so the table takes it to p = 200.
@@ -46,19 +57,26 @@ LOWER_BOUND_COLUMNS = {
     # The packing chain below is the independent check.
     "lb_summation-odd": Column(lambda k: k % 2 == 1 and 1 <= k // 2 <= SUMMATION_P,
                                lb_summation_agrees(ODD_K)),
+    "bounds_table": Column(lambda k: True, bounds_table_agrees),
 }
 UP_TO_10_4 = Row(lambda: range(1, 10**4 + 1), set(LOWER_BOUND_COLUMNS))
+NEAR_10_12 = Row(lambda: [10**12 + d for d in range(-3, 4)],
+                 {"lambda_lb", "bounds_table"})
 
 
 def test_lambda_lb_matches_product_form():
     check_row(LOWER_BOUND_COLUMNS, UP_TO_10_4, only={"lambda_lb"})
-    check_row(LOWER_BOUND_COLUMNS, Row(lambda: [10**12 + d for d in range(-3, 4)],
-                                       {"lambda_lb"}))
+    check_row(LOWER_BOUND_COLUMNS, NEAR_10_12, only={"lambda_lb"})
 
 
 def test_lb_summation_matches_closed_form_up_to_200():
     check_row(LOWER_BOUND_COLUMNS, UP_TO_10_4,
               only={"lb_summation-even", "lb_summation-odd"})
+
+
+def test_bounds_table_matches_the_oracle_up_to_10_4():
+    check_row(LOWER_BOUND_COLUMNS, UP_TO_10_4, only={"bounds_table"})
+    check_row(LOWER_BOUND_COLUMNS, NEAR_10_12, only={"bounds_table"})
 
 
 def test_lambda_lb_against_the_packing_chain():
@@ -119,16 +137,6 @@ def test_ratio_nonincreasing_per_case_19_to_1000():
     assert len(by_case) == 4
     for case, seq in by_case.items():
         assert all(a >= b for a, b in zip(seq, seq[1:])), case
-
-
-def test_bounds_table_single_k():
-    (rec,) = bounds_table(1, 1)
-    assert (rec.lower_exact, rec.lower, rec.upper, rec.ratio) == (2, 2, 2, 1)
-
-
-def test_bounds_table_k2_has_no_upper():
-    (rec,) = bounds_table(2, 2)
-    assert rec.lower == 6 and rec.upper is None and rec.ratio is None
 
 
 def test_bounds_table_range_3_to_7():

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import gridlabel
 import oracle
-from conftest import hand_built, no_work, peak_traced_bytes, plain
+from conftest import RAN, hand_built, no_work, peak_traced_bytes, plain, run_python
 from gridlabel import (BudgetExceeded, VerificationVerdict, label_rows,
                        label_window, scheme_params, window_pairs)
-from gridlabel import cli, verifier
+from gridlabel import bounds, cli, search, verifier
 from gridlabel.bounds import _bounds_rows
 from gridlabel.verifier import (MAX_OBJECT_WINDOW_PAIRS, MAX_WINDOW_PAIRS,
                                 window_pair_budget)
@@ -334,7 +334,7 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
                                                                 monkeypatch):
     # 1000x1000 at k = 300 is within the cell budget but has about 7.3e10
     # pairs to compare; it must be refused before any label is computed.
-    monkeypatch.setattr(cli, "check_window", no_work)
+    monkeypatch.setattr(verifier, "check_window", no_work)
     monkeypatch.setattr(cli, "label_rows", no_work)
     # 3664062 is the first k whose window check compares Python integers.
     for k, window in [(300, "0,0,1000,1000"), (3664062, "0,0,101,100")]:
@@ -348,7 +348,7 @@ def test_verify_window_pairs_budget_is_checked_before_labelling(capsys,
     # k = 50 on 1000x1000 (int16 labels, about 1 s), 101x100 compared on
     # int64 at k = 9190, 3000000 and 3664061, and the default window
     # compared on Python integers stay accepted.
-    monkeypatch.setattr(cli, "check_window", passing)
+    monkeypatch.setattr(verifier, "check_window", passing)
     assert window_pairs(50, 1000, 1000) == 2_464_691_450 < MAX_WINDOW_PAIRS
     assert window_pairs(9190, 101, 100) == 50_999_950 > MAX_OBJECT_WINDOW_PAIRS
     assert window_pairs(3664062, 100, 100) == 49_995_000 <= MAX_OBJECT_WINDOW_PAIRS
@@ -384,7 +384,7 @@ def test_verify_window_pairs_budget_is_three_billion(monkeypatch):
     # and 3072 more per extra row. Neither check nor labelling may run:
     # windows are labelled by _label_grid, label_window's too, and rows by
     # label_rows.
-    monkeypatch.setattr(cli, "check_window", passing)
+    monkeypatch.setattr(verifier, "check_window", passing)
     for module, name in [(gridlabel.scheme, "_label_grid"), (verifier, "_label_grid"),
                          (cli, "label_rows")]:
         monkeypatch.setattr(module, name, no_work)
@@ -557,15 +557,6 @@ NUMPY_FREE_ARGV = [
 ]
 
 
-def run_python(*args):
-    env = dict(os.environ, COLUMNS="80",  # argparse wraps --help to it
-               PYTHONPATH=str(Path(gridlabel.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_commands_without_numpy_match_commands_with_it():
     argv = json.dumps(NUMPY_FREE_ARGV)
     blocked = json.loads(run_python("-c", RUN_MAIN, "block", argv))
@@ -603,6 +594,39 @@ def test_importing_gridlabel_leaves_numpy_unloaded():
                              "'inspect', 'json', 'numpy'} & "
                              "(set(sys.modules) - before)))")
     assert added == "[]\n"
+
+
+# ------------------------------------------------------- layers it runs
+
+# Runs main on argv[1:] with its output discarded, then prints the layers
+# whose source ran.
+LAYERS_RUN = RAN + """
+import contextlib, io
+from gridlabel.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(*sorted(ran()))
+"""
+
+
+LAYER_ROWS = [
+    *((["label", "--k", "3", "--format", fmt], "scheme") for fmt in LABEL_FORMATS),
+    (["verify", "--k", "3", "--window", "0,0,5,5"], "scheme verifier"),
+    (["bounds", "--k-min", "1", "--k-max", "3"], "bounds scheme"),
+    (["nohole", "--k", "3"], "scheme verifier"),
+    (["search", "--rows", "2", "--cols", "2", "--k", "2"], "scheme search"),
+    (["verify", "--k", "3", "--mode", "all"], "scheme"),  # a usage error
+]
+
+
+@pytest.mark.parametrize("argv, layers", LAYER_ROWS,
+                         ids=[" ".join(argv) for argv, _ in LAYER_ROWS])
+def test_each_command_runs_scheme_and_its_own_layer(argv, layers):
+    # In a new interpreter; no command runs lattice.
+    assert run_python("-c", LAYERS_RUN, *argv) == layers + "\n"
 
 
 # ------------------------------------------------------------ arguments
@@ -667,9 +691,10 @@ def test_write_verify_rejects_an_unknown_mode_first(monkeypatch):
 
 
 def assert_rejected_before_work(monkeypatch, message, writer, *args):
-    for name in ("check_diamond", "check_window", "check_no_hole",
-                 "exact_span", "label_rows", "_bounds_rows"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in [(verifier, "check_diamond"), (verifier, "check_window"),
+                         (verifier, "check_no_hole"), (search, "exact_span"),
+                         (cli, "label_rows"), (bounds, "_bounds_rows")]:
+        monkeypatch.setattr(module, name, no_work)
     out = Chunks()
     with pytest.raises(ValueError, match=message):
         writer(out, *args)

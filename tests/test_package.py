@@ -2,6 +2,7 @@
 library example."""
 
 import inspect
+import json
 import os
 import pickle
 import re
@@ -16,7 +17,7 @@ import pytest
 
 import gridlabel
 import oracle
-from conftest import hand_built, no_work
+from conftest import RAN, hand_built, no_work, run_python
 from gridlabel import scheme, search, verifier
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +49,112 @@ def test_readme_library_example_prints_what_it_says():
     assert lines[0] == "LowerBound(exact=Fraction(74, 1), ceiled=74)"
     assert lines[1] == "46/37"
     assert "minimal_lambda=5" in lines[2] and "exhausted=True" in lines[2]
+
+
+# ----------------------------------------------------------- lazy layers
+
+LAYERS = ("lattice", "scheme", "verifier", "bounds", "search")
+
+
+def fresh_python(script):
+    """stdout of script, run in a new interpreter after RAN."""
+    return run_python("-c", RAN + script)
+
+
+def test_a_public_name_runs_only_the_layer_that_defines_it():
+    # The layer that defines a name: the module of a class or function,
+    # else the one layer that holds the name.
+    homes = fresh_python("""
+import gridlabel
+for name in gridlabel.__all__:
+    module = getattr(getattr(gridlabel, name), "__module__", "").removeprefix("gridlabel.")
+    print(module if module in LAYERS else
+          " ".join(l for l in LAYERS if name in vars(getattr(gridlabel, l))))
+""").split()
+    assert len(homes) == len(gridlabel.__all__) and set(homes) == set(LAYERS)
+    # In a new interpreter, the names in __all__'s order, and the layers
+    # run after each.
+    runs = fresh_python("""
+import gridlabel
+assert ran() == set() and not any(name in vars(gridlabel) for name in gridlabel.__all__)
+for name in gridlabel.__all__:
+    getattr(gridlabel, name)
+    print(*sorted(ran()))
+""").splitlines()
+    assert runs == [" ".join(sorted(set(homes[:i + 1]))) for i in range(len(homes))]
+
+
+def test_layers_keep_the_module_surface():
+    # dir() lists the same public names before any layer runs as after, a
+    # layer's dir() runs it, and a reload of the package keeps the layers
+    # it finds, run or not.
+    fresh_python("""
+import importlib, gridlabel, gridlabel.verifier
+public = sorted([*gridlabel.__all__, *LAYERS])
+assert [n for n in dir(gridlabel) if not n.startswith("_")] == public
+assert ran() == set() and "exact_span" in dir(gridlabel.search) and ran() == {"search"}
+modules = [sys.modules["gridlabel." + layer] for layer in LAYERS]
+importlib.reload(gridlabel)
+assert [getattr(gridlabel, layer) for layer in LAYERS] == modules
+assert gridlabel.verifier is sys.modules["gridlabel.verifier"] is modules[2]
+from gridlabel.verifier import check_window
+assert gridlabel.check_window is check_window and ran() == {"search", "verifier", "scheme"}
+assert [n for n in dir(gridlabel) if not n.startswith("_")] == public
+""")
+
+
+# Eight threads wait at a barrier, then each reads one name of every
+# layer by three routes, the route of the first read turning with the
+# thread. Prints what the threads raised, how many are still running,
+# and per layer the number of distinct objects the threads read: 1 when
+# the layer ran once.
+FIRST_TOUCH = """
+import json, threading
+import gridlabel
+NAMES = {"lattice": "ball", "scheme": "LabelingScheme", "verifier": "VerificationVerdict",
+         "bounds": "BoundsRecord", "search": "Patch"}
+def from_import(statement):
+    namespace = {}
+    exec(statement, namespace)
+    return namespace["value"]
+
+ROUTES = [
+    lambda layer, name: getattr(gridlabel, name),
+    lambda layer, name: from_import(f"from gridlabel.{layer} import {name} as value"),
+    lambda layer, name: getattr(getattr(gridlabel, layer), name),
+]
+THREADS = 8
+barrier = threading.Barrier(THREADS)
+seen, errors = {layer: set() for layer in NAMES}, []
+
+def touch(i):
+    try:
+        barrier.wait(timeout=30)
+        for r in range(len(ROUTES)):
+            for layer, name in NAMES.items():
+                seen[layer].add(id(ROUTES[(i + r) % len(ROUTES)](layer, name)))
+    except BaseException as exc:
+        errors.append(repr(exc))
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=touch, args=(i,)) for i in range(THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+finally:
+    sys.setswitchinterval(interval)
+print(json.dumps([errors, sum(t.is_alive() for t in threads),
+                  {layer: len(ids) for layer, ids in seen.items()}]))
+"""
+
+
+def test_threads_that_first_touch_a_layer_together_see_it_run_once():
+    errors, running, distinct = json.loads(fresh_python(FIRST_TOUCH))
+    assert (errors, running) == ([], 0)
+    assert distinct == dict.fromkeys(LAYERS, 1)
 
 
 RECORDS = {

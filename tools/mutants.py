@@ -34,6 +34,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 SCHEME, VERIFIER = "src/gridlabel/scheme.py", "src/gridlabel/verifier.py"
 BOUNDS, SEARCH = "src/gridlabel/bounds.py", "src/gridlabel/search.py"
 LATTICE, CLI = "src/gridlabel/lattice.py", "src/gridlabel/cli.py"
+INIT, BUDGETS = "src/gridlabel/__init__.py", "src/gridlabel/_budgets.py"
 
 # (file, old, new, note)
 MUTANTS = [
@@ -84,7 +85,7 @@ MUTANTS = [
      "the no-hole cross-check of both routes never fires"),
     (VERIFIER, "step = min(step, c - step)", "step = step",
      "_mark_row marks with step a mod c where c - step is shorter"),
-    (VERIFIER, "if count > budget:", "if count > budget + 1:",
+    (BUDGETS, "if count > budget:", "if count > budget + 1:",
      "_check_size lets one unit over the budget through"),
     (VERIFIER, "gcd_triple=g, attained_count=None)", "gcd_triple=g, attained_count=0)",
      "the gcd mode reports an attained count it never enumerated"),
@@ -117,6 +118,24 @@ MUTANTS = [
     (LATTICE, "2 * rest or 1)", "2 * rest or 2)",
      "equivalent: the step matters only where rest = 0, and there the "
      "range holds one point either way"),
+    (INIT, """layer.__spec__.loader.exec_module(layer)
+            layer.__class__ = _types.ModuleType""",
+     """layer.__class__ = _types.ModuleType
+            layer.__spec__.loader.exec_module(layer)""",
+     "a layer sets its class back before its source runs, as importlib's "
+     "LazyLoader does: a second thread finds it empty"),
+    (INIT, """ "label_window", "lambda_ub",
+               "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P", "EVEN_K_EVEN_P",
+               "GCD_AB_ALLOWED"),
+    "verifier": (""", """ "lambda_ub",
+               "ODD_K_ODD_P", "ODD_K_EVEN_P", "EVEN_K_ODD_P", "EVEN_K_EVEN_P",
+               "GCD_AB_ALLOWED"),
+    "verifier": ("label_window", """,
+     "label_window is looked up in verifier, which imports it: the same "
+     "function, but reading it runs the verifier"),
+    (CLI, "from . import bounds, search, verifier\n",
+     "from . import bounds, search, verifier\nfrom .verifier import check_diamond\n",
+     "cli binds a verifier function at import, so every command runs the verifier"),
     (CLI, "out.write(sep + text if n else text)", "out.write(sep + text)",
      "_stream writes the separator before the first row too"),
     (CLI, "return 0 if passed else 1", "return 0",
